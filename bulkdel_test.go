@@ -6,7 +6,19 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bulkdel/internal/table"
 )
+
+// heapTable returns a heap table's table.Table, for tests that inspect its
+// indexes directly.
+func (tbl *Table) heapTable() *table.Table {
+	h, err := tbl.heap()
+	if err != nil {
+		panic(err)
+	}
+	return h.t
+}
 
 // newBenchDB builds a DB with a table R(A,B,C) of n rows (A=i, B=3i,
 // C=i%97), indexed IA (unique) and IB.
@@ -449,6 +461,41 @@ func TestEmptyVictimListAllMethodsPublic(t *testing.T) {
 		}
 		if res.Deleted != 0 || tbl.Count() != 200 {
 			t.Fatalf("%v: empty victim list deleted %d", m, res.Deleted)
+		}
+		if err := tbl.Check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A committed bulk delete drops the row files it staged for recovery (the
+// victim list, the RID list and the per-index key lists), so the disk holds
+// the same files after any number of statements.
+func TestBulkDeleteDropsStagedFiles(t *testing.T) {
+	for _, m := range []Method{SortMerge, Hash} {
+		db, tbl := newBenchDB(t, 3000, Options{})
+		if err := tbl.CreateIndex(IndexOptions{Name: "IC", Field: 2}); err != nil {
+			t.Fatal(err)
+		}
+		files := func() (n int) {
+			for _, d := range db.Layout() {
+				n += d.Files
+			}
+			return n
+		}
+		want := files()
+		for round := int64(0); round < 3; round++ {
+			victims := make([]int64, 0, 100)
+			for v := round * 1000; v < round*1000+100; v++ {
+				victims = append(victims, v)
+			}
+			res, err := tbl.BulkDelete(0, victims, BulkOptions{Method: m})
+			if err != nil || res.Deleted != 100 {
+				t.Fatalf("%v round %d: %+v, %v", m, round, res, err)
+			}
+			if got := files(); got != want {
+				t.Fatalf("%v round %d: %d files on disk, want %d", m, round, got, want)
+			}
 		}
 		if err := tbl.Check(); err != nil {
 			t.Fatal(err)

@@ -166,45 +166,7 @@ func (db *DB) saveCatalog() error {
 		root.WALFile = uint32(db.log.FileID())
 	}
 	for _, tbl := range db.tables {
-		if tbl.lsm != nil {
-			// Manifest() reads a lock-free snapshot published under the
-			// tree mutex, so a flush that calls back into saveCatalog while
-			// holding that mutex cannot deadlock here.
-			m := tbl.lsm.Manifest()
-			root.Tables = append(root.Tables, catalogTable{
-				Name:      tbl.t.Name,
-				NumFields: tbl.t.Schema.NumFields,
-				Size:      tbl.t.Schema.Size,
-				Backend:   BackendLSM,
-				LSM:       &m,
-			})
-			continue
-		}
-		ct := catalogTable{
-			Name:      tbl.t.Name,
-			NumFields: tbl.t.Schema.NumFields,
-			Size:      tbl.t.Schema.Size,
-			HeapFile:  uint32(tbl.t.Heap.ID()),
-		}
-		if ph, ok := tbl.t.Heap.(*heap.Partitioned); ok {
-			spec := ph.Spec()
-			ct.Partition = &catalogPartition{
-				Field: spec.Field, Hash: spec.HashParts, Bounds: spec.RangeBounds,
-			}
-			for _, p := range ph.Parts() {
-				ct.HeapFiles = append(ct.HeapFiles, uint32(p.ID()))
-				ct.HeapDevices = append(ct.HeapDevices, db.disk.DeviceOf(p.ID()))
-			}
-		}
-		for _, ix := range tbl.t.Idx {
-			ct.Indexes = append(ct.Indexes, catalogIndex{
-				Name: ix.Def.Name, Field: ix.Def.Field, KeyLen: ix.Def.KeyLen,
-				Unique: ix.Def.Unique, Clustered: ix.Def.Clustered,
-				Priority: ix.Def.Priority, File: uint32(ix.Tree.ID()),
-				Device: db.disk.DeviceOf(ix.Tree.ID()),
-			})
-		}
-		root.Tables = append(root.Tables, ct)
+		root.Tables = append(root.Tables, tbl.store.catalogEntry())
 	}
 	for _, fk := range db.fks {
 		root.FKs = append(root.FKs, catalogFK{
@@ -262,6 +224,33 @@ func (db *DB) saveCatalog() error {
 	ptr := make([]byte, sim.PageSize)
 	db.catPtr.encode(ptr)
 	return db.disk.WritePage(db.catalog, 0, ptr)
+}
+
+// catalogEntry persists the heap file(s), partitioning and every index with
+// its device placement.
+func (h *heapStore) catalogEntry() catalogTable {
+	t, disk := h.t, h.tbl.db.disk
+	ct := catalogTable{Name: t.Name, NumFields: t.Schema.NumFields,
+		Size: t.Schema.Size, HeapFile: uint32(t.Heap.ID())}
+	if ph, ok := t.Heap.(*heap.Partitioned); ok {
+		spec := ph.Spec()
+		ct.Partition = &catalogPartition{
+			Field: spec.Field, Hash: spec.HashParts, Bounds: spec.RangeBounds,
+		}
+		for _, p := range ph.Parts() {
+			ct.HeapFiles = append(ct.HeapFiles, uint32(p.ID()))
+			ct.HeapDevices = append(ct.HeapDevices, disk.DeviceOf(p.ID()))
+		}
+	}
+	for _, ix := range t.Idx {
+		ct.Indexes = append(ct.Indexes, catalogIndex{
+			Name: ix.Def.Name, Field: ix.Def.Field, KeyLen: ix.Def.KeyLen,
+			Unique: ix.Def.Unique, Clustered: ix.Def.Clustered,
+			Priority: ix.Def.Priority, File: uint32(ix.Tree.ID()),
+			Device: disk.DeviceOf(ix.Tree.ID()),
+		})
+	}
+	return ct
 }
 
 // loadCatalog reads the catalog from file 0: pointer page, then the live
@@ -376,6 +365,9 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 		db.pool.SetReadAhead(opts.ReadAhead)
 	}
 	for _, ct := range root.Tables {
+		schema := record.Schema{NumFields: ct.NumFields, Size: ct.Size}
+		tbl := db.newTable(ct.Name, schema)
+		db.tables[ct.Name] = tbl
 		if ct.Backend == BackendLSM {
 			var m lsm.Manifest
 			if ct.LSM != nil {
@@ -395,11 +387,7 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 					}
 				}
 			}
-			t := &table.Table{Name: ct.Name,
-				Schema: record.Schema{NumFields: ct.NumFields, Size: ct.Size}}
-			t.Lock = db.cc.Lock(ct.Name)
-			tree.SetPersist(db.saveCatalog)
-			db.tables[ct.Name] = &Table{db: db, t: t, lsm: tree}
+			tbl.store = db.openLSM(tbl, tree)
 			continue
 		}
 		var h heap.Store
@@ -412,8 +400,7 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 				Field: ct.Partition.Field, HashParts: ct.Partition.Hash,
 				RangeBounds: ct.Partition.Bounds,
 			}
-			ph, err := heap.OpenPartitioned(db.pool,
-				ids, record.Schema{NumFields: ct.NumFields, Size: ct.Size}, spec)
+			ph, err := heap.OpenPartitioned(db.pool, ids, schema, spec)
 			if err != nil {
 				return nil, nil, fmt.Errorf("bulkdel: reopening table %s: %w", ct.Name, err)
 			}
@@ -432,8 +419,7 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 			}
 			h = hf
 		}
-		t := table.ReattachForRecovery(db.pool, ct.Name,
-			record.Schema{NumFields: ct.NumFields, Size: ct.Size}, h)
+		t := table.ReattachForRecovery(db.pool, ct.Name, schema, h)
 		for _, ci := range ct.Indexes {
 			tr, err := btree.Open(db.pool, sim.FileID(ci.File))
 			if err != nil {
@@ -456,11 +442,7 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 				Gate: cc.NewGate(),
 			})
 		}
-		t.Lock = db.cc.Lock(ct.Name)
-		if db.mvccOn() {
-			t.MVCC = table.NewMVCC(db.epochs)
-		}
-		db.tables[ct.Name] = &Table{db: db, t: t}
+		tbl.store, _ = tbl.openHeap(t, nil)
 	}
 
 	for _, fk := range root.FKs {
@@ -540,10 +522,10 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 		report.BulkInProgress = true
 		report.Statements++
 		report.StructuresSkipped += len(bs.Done)
-		var victim *Table
+		var victim *heapStore
 		for _, tbl := range db.tables {
-			if uint64(tbl.t.Heap.ID()) == bs.Table {
-				victim = tbl
+			if h, ok := tbl.store.(*heapStore); ok && uint64(h.t.Heap.ID()) == bs.Table {
+				victim = h
 				break
 			}
 		}

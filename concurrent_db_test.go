@@ -205,7 +205,7 @@ func TestReadPathsWaitForOfflineIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix := tbl.t.FindIndex("IB")
+	ix := tbl.heapTable().FindIndex("IB")
 
 	// reopened is set (strictly) before BringOnline, so a read that
 	// correctly waited on the gate must observe it as true.

@@ -127,12 +127,6 @@ type Options struct {
 	// Observer receives every statement's trace and aggregates engine-wide
 	// metrics (nil = the DB creates its own; see DB.Observer).
 	Observer *obs.Observer
-	// Backend selects the default storage backend CreateTable uses: ""
-	// or "heap" for the B-tree-indexed heap tables the paper studies,
-	// BackendLSM ("lsm") for the log-structured backend with delete-aware
-	// compaction. CreateTableLSM and the SQL BACKEND clause select it per
-	// table regardless of this default.
-	Backend string
 	// DisableSnapshotReads turns off epoch-based MVCC snapshot reads.
 	// With snapshot reads on (the default), SELECT/Lookup/Scan statements
 	// run against a commit-epoch snapshot and never block behind a bulk
@@ -295,12 +289,7 @@ func (db *DB) wireWAL() {
 // lock footprint in the global deterministic order attributed to the
 // statement's ID, and maintains the active-statement gauges.
 func (db *DB) beginStatement(kind, table string, claims []cc.Claim) (*obs.Stmt, *cc.Held) {
-	stmt := db.obs.Events().Begin(kind, table)
-	held := db.cc.AcquireOrderedAs(stmt.ID(), claims)
-	reg := db.obs.Registry()
-	n := db.active.Add(1)
-	reg.Gauge(obs.MetricStatementsActive).Set(n)
-	reg.Gauge(obs.MetricStatementsPeak).SetMax(n)
+	stmt, held, _ := db.beginStatementTimeout(kind, table, claims, 0) // no deadline: cannot fail
 	return stmt, held
 }
 
@@ -339,8 +328,8 @@ func (db *DB) noteRetainedBytes() {
 	var n int64
 	db.mu.Lock()
 	for _, tbl := range db.tables {
-		if mv := tbl.t.MVCC; mv != nil {
-			n += mv.RetainedBytes()
+		if h, ok := tbl.store.(*heapStore); ok && h.t.MVCC != nil {
+			n += h.t.MVCC.RetainedBytes()
 		}
 	}
 	db.mu.Unlock()
@@ -366,18 +355,18 @@ func (db *DB) deleteFootprint(tbl *Table) ([]cc.Claim, []ForeignKey) {
 	modes := make(map[string]cc.Mode)
 	var visit func(t *Table)
 	visit = func(t *Table) {
-		if m, ok := modes[t.t.Name]; ok && m == cc.Exclusive {
+		if m, ok := modes[t.name]; ok && m == cc.Exclusive {
 			return // already visited as a delete target (FK cycles stop here)
 		}
-		modes[t.t.Name] = cc.Exclusive
+		modes[t.name] = cc.Exclusive
 		for _, fk := range fks {
 			if fk.Parent != t {
 				continue
 			}
 			if fk.OnDelete == Cascade {
 				visit(fk.Child)
-			} else if _, ok := modes[fk.Child.t.Name]; !ok {
-				modes[fk.Child.t.Name] = cc.Shared
+			} else if _, ok := modes[fk.Child.name]; !ok {
+				modes[fk.Child.name] = cc.Shared
 			}
 		}
 	}
@@ -581,7 +570,7 @@ func jitter64(seed, stmt, attempt uint64) uint64 {
 // and finishes the delete by the same roll-forward Recover runs. A cancel
 // that fired before TBulkStart became durable leaves no BulkState, and the
 // abort is zero-effect: also exactly what crash+recover would produce.
-func (db *DB) rollForwardOnline(tbl *Table, txID uint64, field int, token uint64) (int64, error) {
+func (db *DB) rollForwardOnline(h *heapStore, txID uint64, field int, token uint64) (int64, error) {
 	recs, err := db.log.DurableRecords()
 	if err != nil {
 		return 0, err
@@ -597,10 +586,10 @@ func (db *DB) rollForwardOnline(tbl *Table, txID uint64, field int, token uint64
 		// open snapshots must keep seeing them, so it retains under the
 		// SAME token as the statement — its deferred commit stamps both
 		// attempts' versions together.
-		tgt := tbl.target()
-		tbl.retainTarget(tgt, token)
+		tgt := h.target()
+		h.retainTarget(tgt, token)
 		st, err := core.Resume(tgt, bs, db.log, recs, field,
-			core.Options{Undeletable: tbl.t.Undeletable})
+			core.Options{Undeletable: h.t.Undeletable})
 		if err != nil {
 			return 0, err
 		}
@@ -736,36 +725,47 @@ func (db *DB) WALFile() (id sim.FileID, ok bool) {
 // CreateTable adds a table of numFields int64 attributes padded to
 // recordSize bytes.
 func (db *DB) CreateTable(name string, numFields, recordSize int) (*Table, error) {
+	schema := record.Schema{NumFields: numFields, Size: recordSize}
+	tbl, err := db.addTable(name, schema, func(tbl *Table) (store, error) {
+		return tbl.openHeap(table.Create(db.pool, name, schema))
+	})
+	if err != nil {
+		return nil, err
+	}
+	return tbl, db.saveCatalog()
+}
+
+// addTable registers a new table under name, its store built by open while
+// the catalog lock is held. The caller saves the catalog.
+func (db *DB) addTable(name string, schema record.Schema, open func(*Table) (store, error)) (*Table, error) {
 	if db.crashed.Load() {
 		return nil, errCrashed
 	}
-	if db.opts.Backend == BackendLSM {
-		return db.CreateTableLSM(name, numFields, recordSize)
-	}
-	schema := record.Schema{NumFields: numFields, Size: recordSize}
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	if _, ok := db.tables[name]; ok {
-		db.mu.Unlock()
 		return nil, fmt.Errorf("bulkdel: table %q already exists", name)
 	}
-	t, err := table.Create(db.pool, name, schema)
+	tbl := db.newTable(name, schema)
+	s, err := open(tbl)
 	if err != nil {
-		db.mu.Unlock()
 		return nil, err
 	}
-	// Install the manager's shared lock so ordered multi-table acquisition
-	// and the table's own DML entry points contend on the same object.
-	t.Lock = db.cc.Lock(name)
-	if db.mvccOn() {
-		t.MVCC = table.NewMVCC(db.epochs)
-	}
-	tbl := &Table{db: db, t: t}
+	tbl.store = s
 	db.tables[name] = tbl
-	db.mu.Unlock()
-	if err := db.saveCatalog(); err != nil {
+	return tbl, nil
+}
+
+// openHeap wraps a new or reattached heap table as tbl's store, with MVCC
+// snapshot state unless snapshot reads are disabled. It passes err through.
+func (tbl *Table) openHeap(t *table.Table, err error) (store, error) {
+	if err != nil {
 		return nil, err
 	}
-	return tbl, nil
+	if tbl.db.mvccOn() {
+		t.MVCC = table.NewMVCC(tbl.db.epochs)
+	}
+	return &heapStore{tbl: tbl, t: t}, nil
 }
 
 // Table returns a table by name, or nil.

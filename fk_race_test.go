@@ -49,7 +49,7 @@ func TestRestrictProbeWaitsForChildInsert(t *testing.T) {
 
 	// Park the next child insert between the leaf's entry shift and the new
 	// entry's write. The inserter holds the index latch across the window.
-	ix := child.t.FindIndex("fk")
+	ix := child.heapTable().FindIndex("fk")
 	inWindow := make(chan struct{})
 	release := make(chan struct{})
 	ix.Tree.TestHookMidInsert = func() {

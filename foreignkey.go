@@ -76,7 +76,7 @@ func (db *DB) AddForeignKey(child *Table, childField int, parent *Table, parentF
 	if parentField < 0 || parentField >= parent.NumFields() {
 		return fmt.Errorf("bulkdel: parent field %d out of range", parentField)
 	}
-	if child.t.IndexOnField(childField) == nil {
+	if !child.HasIndexOnField(childField) {
 		return fmt.Errorf("bulkdel: foreign key requires an index on %s.field%d",
 			child.Name(), childField)
 	}
@@ -106,7 +106,8 @@ func (db *DB) ForeignKeys() []ForeignKey {
 // the snapshot that footprint was computed from: enforcing the live list
 // instead would let an AddForeignKey landing mid-statement cascade into a
 // child whose lock was never acquired.
-func (db *DB) enforceForeignKeys(tbl *Table, field int, values []int64, opts BulkOptions, depth int, stmt *obs.Stmt, held *cc.Held, fks []ForeignKey) (int64, error) {
+func (db *DB) enforceForeignKeys(h *heapStore, field int, values []int64, opts BulkOptions, depth int, stmt *obs.Stmt, held *cc.Held, fks []ForeignKey) (int64, error) {
+	tbl := h.tbl
 	if depth > 16 {
 		return 0, fmt.Errorf("bulkdel: foreign-key cascade deeper than 16 levels (cycle?)")
 	}
@@ -141,7 +142,7 @@ func (db *DB) enforceForeignKeys(tbl *Table, field int, values []int64, opts Bul
 				want = append(want, fk.ParentField)
 			}
 		}
-		projected, err := core.CollectVictimFieldValues(tbl.target(), field, values, want, opts.Memory)
+		projected, err := core.CollectVictimFieldValues(h.target(), field, values, want, opts.Memory)
 		if err != nil {
 			return 0, err
 		}
@@ -163,11 +164,11 @@ func (db *DB) enforceForeignKeys(tbl *Table, field int, values []int64, opts Bul
 		if fk.OnDelete != Restrict {
 			continue
 		}
-		ixRef, err := fk.Child.indexRefOnField(fk.ChildField)
+		child, ixRef, err := fk.Child.indexRefOnField(fk.ChildField)
 		if err != nil {
 			return 0, err
 		}
-		hit, _, err := core.AnyKeyMatch(fk.Child.target(), ixRef, keysFor(fk), opts.Memory)
+		hit, _, err := core.AnyKeyMatch(child.target(), ixRef, keysFor(fk), opts.Memory)
 		if err != nil {
 			return 0, err
 		}
@@ -193,7 +194,11 @@ func (db *DB) enforceForeignKeys(tbl *Table, field int, values []int64, opts Bul
 		if mode, ok := held.Holds(fk.Child.Name()); !ok || mode != cc.Exclusive {
 			return cascaded, fmt.Errorf("bulkdel: internal: cascade into %s without its exclusive lock", fk.Child.Name())
 		}
-		res, err := fk.Child.bulkDeleteWithDepth(fk.ChildField, keys, opts, depth+1, stmt, held, fks)
+		child, err := fk.Child.heap()
+		if err != nil {
+			return cascaded, err
+		}
+		res, err := child.bulkDeleteWithDepth(fk.ChildField, keys, opts, depth+1, stmt, held, fks)
 		if err != nil {
 			return cascaded, fmt.Errorf("bulkdel: cascading into %s: %w", fk.Child.Name(), err)
 		}
@@ -202,7 +207,7 @@ func (db *DB) enforceForeignKeys(tbl *Table, field int, values []int64, opts Bul
 	return cascaded, nil
 }
 
-// dedupInt64 sorts-and-compacts a value list in place.
+// dedupInt64 drops repeated values in place, keeping first occurrences.
 func dedupInt64(vals []int64) []int64 {
 	if len(vals) < 2 {
 		return vals
@@ -218,13 +223,18 @@ func dedupInt64(vals []int64) []int64 {
 	return out
 }
 
-// indexRefOnField builds core's view of the index over the field.
-func (tbl *Table) indexRefOnField(field int) (*core.IndexRef, error) {
-	ix := tbl.t.IndexOnField(field)
-	if ix == nil {
-		return nil, fmt.Errorf("bulkdel: table %s lost its index on field %d", tbl.Name(), field)
+// indexRefOnField returns the table's heap backend and core's view of its
+// index over the field.
+func (tbl *Table) indexRefOnField(field int) (*heapStore, *core.IndexRef, error) {
+	h, err := tbl.heap()
+	if err != nil {
+		return nil, nil, err
 	}
-	return &core.IndexRef{
+	ix := h.t.IndexOnField(field)
+	if ix == nil {
+		return nil, nil, fmt.Errorf("bulkdel: table %s lost its index on field %d", tbl.name, field)
+	}
+	return h, &core.IndexRef{
 		Name: ix.Def.Name, Tree: ix.Tree, Field: ix.Def.Field,
 		Unique: ix.Def.Unique, Clustered: ix.Def.Clustered, Gate: ix.Gate,
 		// The RESTRICT probe walks the child's leaf chain while the child

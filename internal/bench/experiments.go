@@ -615,12 +615,12 @@ func runLSM(cfg Config, reclaim bool) (Result, error) {
 	}
 	mem := cfg.scaledMemory()
 	db, err := bulkdel.Open(bulkdel.Options{
-		BufferBytes: mem, Backend: bulkdel.BackendLSM, DisableSnapshotReads: true,
+		BufferBytes: mem, DisableSnapshotReads: true,
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	tbl, err := db.CreateTable("R", spec.Fields, spec.TupleSize)
+	tbl, err := db.CreateTableLSM("R", spec.Fields, spec.TupleSize)
 	if err != nil {
 		return Result{}, err
 	}

@@ -83,11 +83,12 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 			if err != nil {
 				return err
 			}
-			victimFile, err = materialize(e, it.Next, keyenc.Int64Width)
+			victimFile, err = materializeOn(e, it.Next, keyenc.Int64Width, -1)
 			it.Close()
 			if err != nil {
 				return err
 			}
+			e.stage(victimFile.file)
 			// Payload: victim row count + delete attribute, so recovery can
 			// reconstruct the statement without the catalog's help.
 			var payload [16]byte
@@ -132,6 +133,9 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 		if err != nil {
 			return stats, phaseErr("wal-commit", tgt.Name, err)
 		}
+		if err := e.dropStaged(); err != nil {
+			return stats, err
+		}
 	}
 	stats.Elapsed = e.disk().Clock() - start
 	finishTiming(stats, e.disk())
@@ -165,6 +169,25 @@ func finishTiming(stats *Stats, disk *sim.Disk) {
 		}
 		stats.Makespan = stats.Makespan - sum + sc.Makespan
 	}
+}
+
+// stage registers a row file the statement has announced in the log (the
+// victim list, the RID list, a key list). Recovery may need it until the
+// statement commits; dropStaged releases it after that.
+func (e *execCtx) stage(f sim.FileID) { e.staged = append(e.staged, f) }
+
+// dropStaged drops the statement's staged row files. Call it only once the
+// commit record is durable: recovery skips committed statements, so no one
+// reads the files again. Dropping is a metadata operation with no simulated
+// cost and no I/O.
+func (e *execCtx) dropStaged() error {
+	for _, f := range e.staged {
+		if err := e.disk().DropFile(f); err != nil {
+			return phaseErr("cleanup", e.tgt.Name, err)
+		}
+	}
+	e.staged = nil
+	return nil
 }
 
 // resumeState carries recovery positions into run.
@@ -269,11 +292,12 @@ func (e *execCtx) run(field int, values []int64, method Method,
 			if err != nil {
 				return err
 			}
-			ridFile, err = materialize(e, it.Next, record.RIDSize)
+			ridFile, err = materializeOn(e, it.Next, record.RIDSize, -1)
 			it.Close()
 			if err != nil {
 				return err
 			}
+			e.stage(ridFile.file)
 			var rowsPayload [8]byte
 			binary.LittleEndian.PutUint64(rowsPayload[:], uint64(ridFile.rows))
 			if _, err := o.Log.Append(wal.TMaterialized, o.TxID, 0, uint64(ridFile.file), rowsPayload[:]); err != nil {
@@ -457,6 +481,7 @@ func (e *execCtx) run(field int, values []int64, method Method,
 					if err != nil {
 						return err
 					}
+					e.stage(kf.file)
 					keyFiles[ix.Tree.ID()] = kf
 					var rowsPayload [8]byte
 					binary.LittleEndian.PutUint64(rowsPayload[:], uint64(kf.rows))
@@ -727,8 +752,8 @@ func (e *execCtx) run(field int, values []int64, method Method,
 		signalCritical()
 	}
 
-	// Drop the intermediate files of an unlogged run (logged runs keep
-	// them until the log is truncated; tests reuse them for recovery).
+	// Drop the intermediate files of an unlogged run (a logged run's files
+	// are staged and dropped once its commit record is durable).
 	if !logged {
 		for _, kf := range keyFiles {
 			if err := kf.drop(); err != nil {
@@ -766,30 +791,6 @@ func (e *execCtx) extractToSorters(rest []*IndexRef, sorters map[sim.FileID]*xso
 		}
 	}
 	return nil
-}
-
-// materialize writes an iterator's rows to a sealed row file.
-func materialize(e *execCtx, it rowIter, rowSize int) (*rowFile, error) {
-	rf, err := newRowFile(e.disk(), rowSize)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		row, ok, err := it()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if err := rf.append(row); err != nil {
-			return nil, err
-		}
-	}
-	if err := rf.seal(); err != nil {
-		return nil, err
-	}
-	return rf, nil
 }
 
 // skipRows advances an iterator n rows and returns it along with the first

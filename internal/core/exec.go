@@ -42,6 +42,8 @@ type execCtx struct {
 	// pass's arm (0 = the system device, the default placement).
 	parWorkers int
 	scratchDev int
+	// staged lists the row files announced in the log, dropped at commit.
+	staged []sim.FileID
 }
 
 func (e *execCtx) disk() *sim.Disk { return e.tgt.Pool.Disk() }

@@ -81,8 +81,8 @@ func (e *execCtx) stageDev(ix *IndexRef) int {
 	return e.disk().DeviceOf(ix.Tree.ID())
 }
 
-// materializeOn is materialize with an explicit device placement (dev < 0 =
-// default).
+// materializeOn writes an iterator's rows to a sealed row file on device
+// dev (dev < 0 = default placement).
 func materializeOn(e *execCtx, it rowIter, rowSize int, dev int) (*rowFile, error) {
 	rf, err := newRowFileOn(e.disk(), rowSize, dev)
 	if err != nil {

@@ -74,6 +74,10 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 		return nil, err
 	}
 	stats.Victims = int(victimRows)
+	e.stage(victimFile.file)
+	for _, f := range st.Materialized {
+		e.stage(sim.FileID(f))
+	}
 
 	rs := &resumeState{st: st, keyFiles: make(map[sim.FileID]*rowFile)}
 	if rid, ok := st.Materialized[0]; ok {
@@ -201,6 +205,9 @@ func Resume(tgt *Target, st wal.BulkState, log *wal.Log, recs []wal.Record, fiel
 		return stats, err
 	}
 	if err := log.Flush(); err != nil {
+		return stats, err
+	}
+	if err := e.dropStaged(); err != nil {
 		return stats, err
 	}
 	stats.Elapsed = disk.Clock() - start

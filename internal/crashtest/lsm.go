@@ -83,14 +83,13 @@ func buildLSMDB(cfg Config) (*bulkdel.DB, *bulkdel.Table, error) {
 	db, err := bulkdel.Open(bulkdel.Options{
 		BufferBytes:          cfg.BufferBytes,
 		Devices:              cfg.Devices,
-		Backend:              bulkdel.BackendLSM,
 		Observer:             cfg.Observer,
 		DisableSnapshotReads: true,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	tbl, err := db.CreateTable("R", 3, 64)
+	tbl, err := db.CreateTableLSM("R", 3, 64)
 	if err != nil {
 		return nil, nil, err
 	}

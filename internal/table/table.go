@@ -80,11 +80,6 @@ type Table struct {
 	Schema record.Schema
 	Heap   heap.Store
 	Idx    []*Index
-	// Lock is the §3 coarse table lock. Create and ReattachForRecovery
-	// give every table a private lock; a DB replaces it with the shared
-	// instance from its cc.Manager so ordered multi-table acquisition and
-	// the DML entry points contend on one object.
-	Lock *cc.TableLock
 	// Undeletable marks entries installed by concurrent transactions via
 	// direct propagation during a bulk delete.
 	Undeletable *cc.UndeletableSet
@@ -110,7 +105,6 @@ func Create(pool *buffer.Pool, name string, schema record.Schema) (*Table, error
 		Name:        name,
 		Schema:      schema,
 		Heap:        h,
-		Lock:        &cc.TableLock{},
 		Undeletable: cc.NewUndeletableSet(),
 		SortBudget:  DefaultSortBudget,
 		pool:        pool,
@@ -131,7 +125,6 @@ func CreatePartitioned(pool *buffer.Pool, name string, schema record.Schema, spe
 		Name:        name,
 		Schema:      schema,
 		Heap:        h,
-		Lock:        &cc.TableLock{},
 		Undeletable: cc.NewUndeletableSet(),
 		SortBudget:  DefaultSortBudget,
 		pool:        pool,
@@ -148,7 +141,6 @@ func ReattachForRecovery(pool *buffer.Pool, name string, schema record.Schema, h
 		Name:        name,
 		Schema:      schema,
 		Heap:        h,
-		Lock:        &cc.TableLock{},
 		Undeletable: cc.NewUndeletableSet(),
 		SortBudget:  DefaultSortBudget,
 		pool:        pool,

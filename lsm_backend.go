@@ -3,19 +3,18 @@ package bulkdel
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"bulkdel/internal/cc"
 	"bulkdel/internal/lsm"
 	"bulkdel/internal/record"
-	"bulkdel/internal/table"
 	"bulkdel/internal/wal"
 )
 
-// The LSM storage backend: a second table implementation behind the same
-// public Table API. An LSM table keys every row on field 0 (upsert
-// semantics — inserting an existing key overwrites the row) and stores it
-// in an internal/lsm tree: memtable + WAL for the tail, SSTables on the
+// The LSM storage backend: lsmStore, the second implementation of the
+// store interface behind the public Table API (heapStore, in table.go, is
+// the first). An LSM table keys every row on field 0 (upsert semantics —
+// inserting an existing key overwrites the row) and stores it in an
+// internal/lsm tree: memtable + WAL for the tail, SSTables on the
 // simulated disk for the bulk, leveled compaction with delete-aware
 // (Lethe-style) triggers for reclamation. Deletes write tombstones — a
 // range predicate on field 0 costs a single range tombstone, O(1)
@@ -23,11 +22,12 @@ import (
 // back within a bounded number of flushes via the tombstone-TTL
 // compaction trigger.
 //
-// What LSM tables do not have: RIDs (rows are addressed by key),
-// secondary indexes, MVCC snapshot views, and the ⋈̸ bulk-delete planner
-// (tombstones make it unnecessary). Readers instead merge the memtable
-// and SSTables (point reads under the tree's own latch; scans snapshot
-// their sources and merge latch-free, so scan callbacks may re-enter the
+// An LSM table has no table.Table: no RIDs (rows are addressed by key),
+// no secondary indexes, no MVCC snapshot views and no ⋈̸ bulk-delete
+// planner (tombstones make it unnecessary); the heap-only Table methods
+// reject it through Table.heap. Readers instead merge the memtable and
+// SSTables (point reads under the tree's own latch; scans snapshot their
+// sources and merge latch-free, so scan callbacks may re-enter the
 // table); deletes still take the engine's exclusive table lock and
 // advance the commit epoch, so the statement lifecycle, observability,
 // and locking semantics match the heap backend. Mutations under the
@@ -39,13 +39,18 @@ import (
 // memtable — WAL replay would then skip it and the write would vanish
 // after a crash.
 
-// BackendLSM is the Options.Backend / Table.Backend() name of the LSM
-// storage backend; the zero value selects the heap backend.
+// BackendLSM is the Table.Backend() name of the LSM storage backend.
 const BackendLSM = "lsm"
+
+// lsmStore is the LSM backend: the table's rows live in one lsm.Tree.
+type lsmStore struct {
+	tbl  *Table
+	tree *lsm.Tree
+}
 
 // Backend reports the table's storage backend: "heap" or "lsm".
 func (tbl *Table) Backend() string {
-	if tbl.lsm != nil {
+	if _, ok := tbl.store.(*lsmStore); ok {
 		return BackendLSM
 	}
 	return "heap"
@@ -67,9 +72,6 @@ func (db *DB) lsmDevices() []int {
 // CreateTableLSM adds an LSM-backed table of numFields int64 attributes
 // padded to recordSize bytes, keyed on field 0.
 func (db *DB) CreateTableLSM(name string, numFields, recordSize int) (*Table, error) {
-	if db.crashed.Load() {
-		return nil, errCrashed
-	}
 	schema := record.Schema{NumFields: numFields, Size: recordSize}
 	if err := schema.Validate(); err != nil {
 		return nil, err
@@ -83,27 +85,22 @@ func (db *DB) CreateTableLSM(name string, numFields, recordSize int) (*Table, er
 	if len(name) > 255 {
 		return nil, fmt.Errorf("bulkdel: LSM table name is %d bytes; the WAL frame caps names at 255", len(name))
 	}
-	db.mu.Lock()
-	if _, ok := db.tables[name]; ok {
-		db.mu.Unlock()
-		return nil, fmt.Errorf("bulkdel: table %q already exists", name)
-	}
-	tree := lsm.New(db.pool, recordSize, lsm.Options{Devices: db.lsmDevices()})
-	// The stub table.Table carries the schema and the lock; it has no heap
-	// and no indexes — every data path branches to the tree first.
-	t := &table.Table{Name: name, Schema: schema}
-	t.Lock = db.cc.Lock(name)
-	tbl := &Table{db: db, t: t, lsm: tree}
-	db.tables[name] = tbl
-	db.mu.Unlock()
-	// Flushes and compactions commit their manifest through the catalog:
-	// the new SSTable set becomes durable in the same write that the old
-	// one is forgotten, which is what makes them atomic under a crash.
-	tree.SetPersist(db.saveCatalog)
-	if err := db.saveCatalog(); err != nil {
+	tbl, err := db.addTable(name, schema, func(tbl *Table) (store, error) {
+		return db.openLSM(tbl, lsm.New(db.pool, recordSize, lsm.Options{Devices: db.lsmDevices()})), nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return tbl, nil
+	return tbl, db.saveCatalog()
+}
+
+// openLSM wraps a new or reopened tree as tbl's store. Flushes and
+// compactions commit their manifest through the catalog: the new SSTable
+// set becomes durable in the same write that the old one is forgotten,
+// which is what makes them atomic under a crash.
+func (db *DB) openLSM(tbl *Table, tree *lsm.Tree) *lsmStore {
+	tree.SetPersist(db.saveCatalog)
+	return &lsmStore{tbl: tbl, tree: tree}
 }
 
 // lsmPayload frames an LSM WAL record payload: [1B name length][name][rest].
@@ -124,96 +121,81 @@ func splitLSMPayload(p []byte) (name string, rest []byte, ok bool) {
 	return string(p[1 : 1+n]), p[1+n:], true
 }
 
-// logLSM appends one LSM mutation record when the WAL is on. The record
-// is replayed into the memtable by Recover when its seq is newer than the
+// log appends one LSM mutation record when the WAL is on. The record is
+// replayed into the memtable by Recover when its seq is newer than the
 // manifest's flushed horizon.
-func (tbl *Table) logLSM(t wal.Type, a, b uint64, rest []byte) error {
-	if tbl.db.log == nil {
+func (s *lsmStore) log(t wal.Type, a, b uint64, rest []byte) error {
+	if s.tbl.db.log == nil {
 		return nil
 	}
-	_, err := tbl.db.log.Append(t, 0, a, b, lsmPayload(tbl.t.Name, rest))
+	_, err := s.tbl.db.log.Append(t, 0, a, b, lsmPayload(s.tbl.name, rest))
 	return err
 }
 
-// lsmInsert adds (or overwrites) the row keyed on fields[0].
-func (tbl *Table) lsmInsert(fields []int64) (RID, error) {
+// insert adds (or overwrites) the row keyed on fields[0]. The caller holds
+// the shared table lock and updMu, which make NextSeq → WAL append → Put →
+// MaybeFlush one atomic unit against the other shared-lock mutators
+// (inserts, CompactLSM); see the file comment. Delete statements hold the
+// table exclusively, so they cannot interleave here either.
+func (s *lsmStore) insert(fields []int64, _ bool) (RID, error) {
 	if len(fields) == 0 {
-		return record.NilRID, fmt.Errorf("bulkdel: LSM table %s: insert needs at least the key field", tbl.t.Name)
+		return record.NilRID, fmt.Errorf("bulkdel: LSM table %s: insert needs at least the key field", s.tbl.name)
 	}
-	rec, err := tbl.t.Schema.Encode(fields)
+	rec, err := s.tbl.schema.Encode(fields)
 	if err != nil {
 		return record.NilRID, err
 	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	// updMu makes NextSeq → WAL append → Put → MaybeFlush one atomic unit
-	// against the other shared-lock mutators (inserts, CompactLSM); see
-	// the file comment. Delete statements hold the table exclusively, so
-	// they cannot interleave here either.
-	tbl.updMu.Lock()
-	defer tbl.updMu.Unlock()
 	key := fields[0]
-	seq := tbl.lsm.NextSeq()
-	if err := tbl.logLSM(wal.TLSMPut, uint64(key), seq, rec); err != nil {
-		tbl.lsm.AbandonSeq(seq)
+	seq := s.tree.NextSeq()
+	if err := s.log(wal.TLSMPut, uint64(key), seq, rec); err != nil {
+		s.tree.AbandonSeq(seq)
 		return record.NilRID, err
 	}
-	tbl.lsm.Put(key, rec, seq)
-	if err := tbl.lsm.MaybeFlush(); err != nil {
-		return record.NilRID, err
+	s.tree.Put(key, rec, seq)
+	return record.NilRID, s.tree.MaybeFlush()
+}
+
+// count counts visible rows via a merged scan; a scan error reports -1.
+func (s *lsmStore) count() int64 {
+	s.tbl.lock.LockShared()
+	defer s.tbl.lock.UnlockShared()
+	n, err := s.tree.Count()
+	if err != nil {
+		return -1
 	}
-	return record.NilRID, nil
+	return n
 }
 
-// lsmCount counts visible rows via a merged scan.
-func (tbl *Table) lsmCount() (int64, error) {
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	return tbl.lsm.Count()
-}
-
-// lsmLookup serves Table.Lookup: a point read on field 0, a filtered
-// merged scan on any other field.
-func (tbl *Table) lsmLookup(field int, v int64) ([][]int64, error) {
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	if field == 0 {
-		rec, ok, err := tbl.lsm.Get(v)
-		if err != nil || !ok {
-			return nil, err
-		}
-		vals, err := tbl.t.Schema.Decode(rec)
-		if err != nil {
-			return nil, err
-		}
-		return [][]int64{vals}, nil
+// lookup is a point read on field 0, a filtered merged scan on any other
+// field.
+func (s *lsmStore) lookup(field int, v int64) ([][]int64, error) {
+	if field != 0 {
+		return s.lookupRange(field, v, v)
 	}
-	var out [][]int64
-	err := tbl.lsm.Scan(func(_ int64, rec []byte) error {
-		if tbl.t.Schema.Field(rec, field) != v {
-			return nil
-		}
-		vals, err := tbl.t.Schema.Decode(rec)
-		if err != nil {
-			return err
-		}
-		out = append(out, vals)
-		return nil
-	})
-	return out, err
+	s.tbl.lock.LockShared()
+	defer s.tbl.lock.UnlockShared()
+	rec, ok, err := s.tree.Get(v)
+	if err != nil || !ok {
+		return nil, err
+	}
+	vals, err := s.tbl.schema.Decode(rec)
+	if err != nil {
+		return nil, err
+	}
+	return [][]int64{vals}, nil
 }
 
-// lsmLookupRange serves Table.LookupRange: a key-range merge on field 0,
-// a filtered merged scan otherwise. Results arrive in key order.
-func (tbl *Table) lsmLookupRange(field int, lo, hi int64) ([][]int64, error) {
+// lookupRange is a key-range merge on field 0, a filtered merged scan
+// otherwise. Results arrive in key order.
+func (s *lsmStore) lookupRange(field int, lo, hi int64) ([][]int64, error) {
 	if lo > hi {
 		return nil, nil
 	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
+	s.tbl.lock.LockShared()
+	defer s.tbl.lock.UnlockShared()
 	var out [][]int64
-	emit := func(rec []byte) error {
-		vals, err := tbl.t.Schema.Decode(rec)
+	emit := func(_ int64, rec []byte) error {
+		vals, err := s.tbl.schema.Decode(rec)
 		if err != nil {
 			return err
 		}
@@ -221,27 +203,24 @@ func (tbl *Table) lsmLookupRange(field int, lo, hi int64) ([][]int64, error) {
 		return nil
 	}
 	if field == 0 {
-		err := tbl.lsm.ScanRange(lo, hi, func(_ int64, rec []byte) error {
-			return emit(rec)
-		})
-		return out, err
+		return out, s.tree.ScanRange(lo, hi, emit)
 	}
-	err := tbl.lsm.Scan(func(_ int64, rec []byte) error {
-		if v := tbl.t.Schema.Field(rec, field); v >= lo && v <= hi {
-			return emit(rec)
+	err := s.tree.Scan(func(key int64, rec []byte) error {
+		if v := s.tbl.schema.Field(rec, field); v >= lo && v <= hi {
+			return emit(key, rec)
 		}
 		return nil
 	})
 	return out, err
 }
 
-// lsmScan serves Table.Scan in key order. LSM rows have no RIDs; fn
-// receives record.NilRID.
-func (tbl *Table) lsmScan(fn func(rid RID, fields []int64) error) error {
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	return tbl.lsm.Scan(func(_ int64, rec []byte) error {
-		vals, err := tbl.t.Schema.Decode(rec)
+// scan visits every row in key order. LSM rows have no RIDs; fn receives
+// record.NilRID.
+func (s *lsmStore) scan(fn func(rid RID, fields []int64) error) error {
+	s.tbl.lock.LockShared()
+	defer s.tbl.lock.UnlockShared()
+	return s.tree.Scan(func(_ int64, rec []byte) error {
+		vals, err := s.tbl.schema.Decode(rec)
 		if err != nil {
 			return err
 		}
@@ -249,159 +228,129 @@ func (tbl *Table) lsmScan(fn func(rid RID, fields []int64) error) error {
 	})
 }
 
-// lsmBulkDelete serves Table.BulkDelete on an LSM table: every victim
-// becomes a point tombstone. Victims on field 0 are probed first (so the
-// result counts rows that actually existed and absent keys cost no
-// tombstone); other fields collect their matching keys with one merged
-// scan. The statement runs under the exclusive table lock, appends one
-// WAL record per tombstone, flushes the log at commit, and advances the
-// commit epoch like any other committed delete.
-func (tbl *Table) lsmBulkDelete(field int, values []int64, opts BulkOptions) (*BulkResult, error) {
-	stmt, held, err := tbl.db.beginStatementTimeout("bulk-delete", tbl.t.Name,
-		[]cc.Claim{{Table: tbl.t.Name, Mode: cc.Exclusive}}, opts.LockWait)
-	if err != nil {
-		return nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", tbl.t.Name, err)
-	}
-	defer tbl.db.endStatement(stmt, held)
-	res := &BulkResult{Victims: len(values)}
-
-	var keys []int64
-	if field == 0 {
+// bulkDelete turns every victim into a point tombstone. Victims on field 0
+// are probed first (so the result counts rows that actually existed and
+// absent keys cost no tombstone); other fields collect their matching keys
+// with one merged scan.
+func (s *lsmStore) bulkDelete(field int, values []int64, opts BulkOptions) (*BulkResult, error) {
+	res, err := s.deleteStmt("bulk delete", opts, func() (int64, error) {
+		if field != 0 {
+			want := make(map[int64]bool, len(values))
+			for _, v := range values {
+				want[v] = true
+			}
+			return s.deleteWhere(field, func(v int64) bool { return want[v] })
+		}
+		var keys []int64
 		for _, v := range values {
-			_, ok, err := tbl.lsm.Get(v)
+			_, ok, err := s.tree.Get(v)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			if ok {
 				keys = append(keys, v)
 			}
 		}
-	} else {
-		want := make(map[int64]bool, len(values))
-		for _, v := range values {
-			want[v] = true
-		}
-		err := tbl.lsm.Scan(func(key int64, rec []byte) error {
-			if want[tbl.t.Schema.Field(rec, field)] {
-				keys = append(keys, key)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		return s.deleteKeys(keys)
+	})
+	if res != nil {
+		res.Victims = len(values)
 	}
-	for _, k := range keys {
-		seq := tbl.lsm.NextSeq()
-		if err := tbl.logLSM(wal.TLSMDel, uint64(k), seq, nil); err != nil {
-			tbl.lsm.AbandonSeq(seq)
-			return nil, err
-		}
-		tbl.lsm.DeletePoint(k, seq)
-		res.Deleted++
-	}
-	if err := tbl.lsmCommitDelete(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, err
 }
 
-// DeleteRange deletes every row whose field value lies in [lo, hi], both
-// bounds inclusive.
-//
-// On an LSM table with field == 0 this is the backend's signature move:
-// one range tombstone is logged and dropped into the memtable — O(1)
-// foreground I/O regardless of how many rows the range covers — and the
-// result's Deleted is -1 (a blind delete does not know the count; the
-// covered rows disappear from every read immediately and their space is
-// reclaimed by delete-aware compaction within TombstoneTTL flushes).
-// Non-key fields fall back to a merged scan issuing point tombstones.
-//
-// On a heap table the range is resolved to its distinct field values and
-// handed to the regular ⋈̸ BulkDelete machinery.
-func (tbl *Table) DeleteRange(field int, lo, hi int64, opts BulkOptions) (*BulkResult, error) {
-	if tbl.db.crashed.Load() {
-		return nil, errCrashed
-	}
-	if lo > hi {
-		return &BulkResult{}, nil
-	}
-	if tbl.lsm == nil {
-		rows, err := tbl.LookupRange(field, lo, hi)
-		if err != nil {
-			return nil, err
+// deleteRange writes one range tombstone for a key range (field 0) and
+// point tombstones found by a merged scan for any other field.
+func (s *lsmStore) deleteRange(field int, lo, hi int64, opts BulkOptions) (*BulkResult, error) {
+	return s.deleteStmt("range delete", opts, func() (int64, error) {
+		if field != 0 {
+			return s.deleteWhere(field, func(v int64) bool { return v >= lo && v <= hi })
 		}
-		seen := make(map[int64]bool, len(rows))
-		vals := make([]int64, 0, len(rows))
-		for _, row := range rows {
-			if v := row[field]; !seen[v] {
-				seen[v] = true
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) == 0 {
-			return &BulkResult{}, nil
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		return tbl.BulkDelete(field, vals, opts)
-	}
-
-	stmt, held, err := tbl.db.beginStatementTimeout("bulk-delete", tbl.t.Name,
-		[]cc.Claim{{Table: tbl.t.Name, Mode: cc.Exclusive}}, opts.LockWait)
-	if err != nil {
-		return nil, fmt.Errorf("bulkdel: range delete on %s: %w", tbl.t.Name, err)
-	}
-	defer tbl.db.endStatement(stmt, held)
-	res := &BulkResult{}
-	if field == 0 {
-		seq := tbl.lsm.NextSeq()
+		seq := s.tree.NextSeq()
 		var seqBuf [8]byte
 		binary.LittleEndian.PutUint64(seqBuf[:], seq)
-		if err := tbl.logLSM(wal.TLSMRangeDel, uint64(lo), uint64(hi), seqBuf[:]); err != nil {
-			tbl.lsm.AbandonSeq(seq)
-			return nil, err
+		if err := s.log(wal.TLSMRangeDel, uint64(lo), uint64(hi), seqBuf[:]); err != nil {
+			s.tree.AbandonSeq(seq)
+			return 0, err
 		}
-		tbl.lsm.DeleteRange(lo, hi, seq)
-		res.Deleted = -1 // blind: covered rows are invisible, count unknown
-	} else {
-		var keys []int64
-		err := tbl.lsm.Scan(func(key int64, rec []byte) error {
-			if v := tbl.t.Schema.Field(rec, field); v >= lo && v <= hi {
-				keys = append(keys, key)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, k := range keys {
-			seq := tbl.lsm.NextSeq()
-			if err := tbl.logLSM(wal.TLSMDel, uint64(k), seq, nil); err != nil {
-				tbl.lsm.AbandonSeq(seq)
-				return nil, err
-			}
-			tbl.lsm.DeletePoint(k, seq)
-			res.Deleted++
-		}
-	}
-	if err := tbl.lsmCommitDelete(); err != nil {
-		return nil, err
-	}
-	return res, nil
+		s.tree.DeleteRange(lo, hi, seq)
+		return -1, nil // blind: covered rows are invisible, count unknown
+	})
 }
 
-// lsmCommitDelete is the tail of every LSM delete statement: make the
-// tombstones durable, advance the commit epoch (an LSM delete commits
-// exactly like a heap bulk delete does), and let the tree flush/compact
-// if its thresholds say so.
-func (tbl *Table) lsmCommitDelete() error {
-	if tbl.db.log != nil {
-		if err := tbl.db.log.Flush(); err != nil {
-			return err
+// deleteStmt runs one LSM delete statement: del runs under the exclusive
+// table lock and reports the rows it tombstoned; then the tombstones are
+// made durable, the commit epoch advances (an LSM delete commits exactly
+// like a heap bulk delete does), and the tree may flush or compact if its
+// thresholds say so.
+func (s *lsmStore) deleteStmt(what string, opts BulkOptions, del func() (int64, error)) (*BulkResult, error) {
+	db := s.tbl.db
+	stmt, held, err := db.beginStatementTimeout("bulk-delete", s.tbl.name,
+		[]cc.Claim{{Table: s.tbl.name, Mode: cc.Exclusive}}, opts.LockWait)
+	if err != nil {
+		return nil, fmt.Errorf("bulkdel: %s on %s: %w", what, s.tbl.name, err)
+	}
+	defer db.endStatement(stmt, held)
+	n, err := del()
+	if err != nil {
+		return nil, err
+	}
+	if db.log != nil {
+		if err := db.log.Flush(); err != nil {
+			return nil, err
 		}
 	}
-	tbl.db.epochs.Commit()
-	return tbl.lsm.MaybeFlush()
+	db.epochs.Commit()
+	if err := s.tree.MaybeFlush(); err != nil {
+		return nil, err
+	}
+	return &BulkResult{Deleted: n}, nil
+}
+
+// deleteWhere tombstones every row whose field value satisfies match,
+// found with one merged scan.
+func (s *lsmStore) deleteWhere(field int, match func(int64) bool) (int64, error) {
+	var keys []int64
+	err := s.tree.Scan(func(key int64, rec []byte) error {
+		if match(s.tbl.schema.Field(rec, field)) {
+			keys = append(keys, key)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	return s.deleteKeys(keys)
+}
+
+// deleteKeys logs and applies one point tombstone per key.
+func (s *lsmStore) deleteKeys(keys []int64) (int64, error) {
+	for _, k := range keys {
+		seq := s.tree.NextSeq()
+		if err := s.log(wal.TLSMDel, uint64(k), seq, nil); err != nil {
+			s.tree.AbandonSeq(seq)
+			return 0, err
+		}
+		s.tree.DeletePoint(k, seq)
+	}
+	return int64(len(keys)), nil
+}
+
+func (s *lsmStore) check() error { return s.tree.Check() }
+
+func (s *lsmStore) flush() error { return nil } // see Table.Flush
+
+func (s *lsmStore) explain(field int, _ Method, _ int) string {
+	return fmt.Sprintf("LSMDelete(table=%s field=%d)\n  └─ tombstone write (range predicates: one range tombstone; O(1) I/O)\n", s.tbl.name, field)
+}
+
+// catalogEntry persists the tree's manifest. Manifest() reads a lock-free
+// snapshot published under the tree mutex, so a flush that calls back into
+// saveCatalog while holding that mutex cannot deadlock here.
+func (s *lsmStore) catalogEntry() catalogTable {
+	m := s.tree.Manifest()
+	return catalogTable{Name: s.tbl.name, NumFields: s.tbl.schema.NumFields,
+		Size: s.tbl.schema.Size, Backend: BackendLSM, LSM: &m}
 }
 
 // CompactLSM runs the table's triggered compactions to quiescence, then
@@ -409,29 +358,30 @@ func (tbl *Table) lsmCommitDelete() error {
 // "space fully reclaimed" fixpoint the benchmark measures. It is a no-op
 // on heap tables.
 func (tbl *Table) CompactLSM() error {
-	if tbl.lsm == nil {
+	s, ok := tbl.store.(*lsmStore)
+	if !ok {
 		return nil
 	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	// Like lsmInsert: the forced flush must not interleave with a
-	// concurrent insert's NextSeq → Put window, or the published flush
-	// horizon could cover a not-yet-applied seq.
+	tbl.lock.LockShared()
+	defer tbl.lock.UnlockShared()
+	// Like insert: the forced flush must not interleave with a concurrent
+	// insert's NextSeq → Put window, or the published flush horizon could
+	// cover a not-yet-applied seq.
 	tbl.updMu.Lock()
 	defer tbl.updMu.Unlock()
-	if err := tbl.lsm.FlushMem(); err != nil {
+	if err := s.tree.FlushMem(); err != nil {
 		return err
 	}
-	return tbl.lsm.DrainTombstones()
+	return s.tree.DrainTombstones()
 }
 
 // LSMManifest returns the table's current LSM manifest (zero value for
 // heap tables) — the level layout tests and tools inspect.
 func (tbl *Table) LSMManifest() lsm.Manifest {
-	if tbl.lsm == nil {
-		return lsm.Manifest{}
+	if s, ok := tbl.store.(*lsmStore); ok {
+		return s.tree.Manifest()
 	}
-	return tbl.lsm.Manifest()
+	return lsm.Manifest{}
 }
 
 // replayLSMRecords replays durable LSM WAL records into the freshly
@@ -444,46 +394,36 @@ func (tbl *Table) LSMManifest() lsm.Manifest {
 func (db *DB) replayLSMRecords(recs []wal.Record) int {
 	applied := 0
 	for _, r := range recs {
-		switch r.Type {
-		case wal.TLSMPut, wal.TLSMDel, wal.TLSMRangeDel:
-		default:
+		if r.Type != wal.TLSMPut && r.Type != wal.TLSMDel && r.Type != wal.TLSMRangeDel {
 			continue
 		}
 		name, rest, ok := splitLSMPayload(r.Payload)
+		if !ok || db.tables[name] == nil {
+			continue
+		}
+		s, ok := db.tables[name].store.(*lsmStore)
 		if !ok {
 			continue
 		}
-		tbl := db.tables[name]
-		if tbl == nil || tbl.lsm == nil {
-			continue
-		}
-		tree := tbl.lsm
+		tree, seq := s.tree, r.B
+		apply := func() { tree.DeletePoint(int64(r.A), seq) }
 		switch r.Type {
 		case wal.TLSMPut:
-			if len(rest) != tbl.t.Schema.Size {
+			if len(rest) != s.tbl.schema.Size {
 				continue
 			}
-			tree.NoteReplayedSeq(r.B)
-			if r.B > tree.FlushedSeq() {
-				tree.Put(int64(r.A), append([]byte(nil), rest...), r.B)
-				applied++
-			}
-		case wal.TLSMDel:
-			tree.NoteReplayedSeq(r.B)
-			if r.B > tree.FlushedSeq() {
-				tree.DeletePoint(int64(r.A), r.B)
-				applied++
-			}
+			apply = func() { tree.Put(int64(r.A), append([]byte(nil), rest...), seq) }
 		case wal.TLSMRangeDel:
 			if len(rest) != 8 {
 				continue
 			}
-			seq := binary.LittleEndian.Uint64(rest)
-			tree.NoteReplayedSeq(seq)
-			if seq > tree.FlushedSeq() {
-				tree.DeleteRange(int64(r.A), int64(r.B), seq)
-				applied++
-			}
+			seq = binary.LittleEndian.Uint64(rest)
+			apply = func() { tree.DeleteRange(int64(r.A), int64(r.B), seq) }
+		}
+		tree.NoteReplayedSeq(seq)
+		if seq > tree.FlushedSeq() {
+			apply()
+			applied++
 		}
 	}
 	return applied

@@ -1,23 +1,24 @@
 package bulkdel
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"bulkdel/internal/lsm"
+	"bulkdel/internal/sim"
 )
 
 // newLSMDB builds an LSM-backed table R(A,B,C) of n rows (A=i, B=3i,
-// C=i%97) through the Options.Backend routing.
+// C=i%97).
 func newLSMDB(t *testing.T, n int, opts Options) (*DB, *Table) {
 	t.Helper()
-	opts.Backend = BackendLSM
 	db, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := db.CreateTable("R", 3, 64)
+	tbl, err := db.CreateTableLSM("R", 3, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +74,25 @@ func TestLSMBackendBasics(t *testing.T) {
 	if err := tbl.Check(); err != nil {
 		t.Fatal(err)
 	}
-	// The heap-only surface is rejected, not silently wrong.
-	if err := tbl.CreateIndex(IndexOptions{Name: "IA", Field: 0}); err == nil {
-		t.Fatal("CreateIndex accepted on LSM table")
+	// The heap-only surface is rejected, not silently wrong (nor a panic).
+	rejected := map[string]error{
+		"CreateIndex":       tbl.CreateIndex(IndexOptions{Name: "IA", Field: 0}),
+		"AlterPartitioning": tbl.AlterPartitioning(PartitionSpec{Field: 0, HashParts: 2}),
 	}
-	if _, err := tbl.View(); err == nil {
-		t.Fatal("View accepted on LSM table")
+	_, rejected["View"] = tbl.View()
+	_, rejected["Get"] = tbl.Get(RID{})
+	_, rejected["LookupRIDs"] = tbl.LookupRIDs(0, 1)
+	_, rejected["DeleteTraditional"] = tbl.DeleteTraditional(0, []int64{1}, true)
+	for call, err := range rejected {
+		if err == nil {
+			t.Errorf("%s accepted on LSM table", call)
+		}
+	}
+	if est := tbl.EstimateMethods(0, 10, 0); len(est) != 0 {
+		t.Errorf("EstimateMethods on LSM table = %v, want no plans", est)
+	}
+	if n, spec := tbl.Partitions(), tbl.PartitionSpec(); n != 1 || spec.NumParts() != 0 {
+		t.Errorf("LSM table reports %d partitions (spec %+v), want an unpartitioned table", n, spec)
 	}
 	// Explain mentions the tombstone plan rather than the ⋈̸ planner.
 	if plan := tbl.Explain(0, Auto, 0); !strings.Contains(plan, "LSM") {
@@ -236,12 +250,11 @@ func TestLSMBackendSQLRouting(t *testing.T) {
 // that row's WAL record is skipped on replay and the row vanishes after
 // a crash. Default MemLimit (256) guarantees many flushes during the run.
 func TestLSMConcurrentInsertsRecoverIntact(t *testing.T) {
-	opts := Options{Backend: BackendLSM}
-	db, err := Open(opts)
+	db, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := db.CreateTable("R", 3, 64)
+	tbl, err := db.CreateTableLSM("R", 3, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,5 +353,88 @@ func TestLSMScanCallbackReentry(t *testing.T) {
 	}
 	if visited != 500 {
 		t.Fatalf("scan saw %d rows, want 500", visited)
+	}
+}
+
+// Rebalance migrates heap files and index trees only; an LSM table in the
+// catalog is left to its own SSTable placement and must not break the run.
+func TestRebalanceWithLSMTable(t *testing.T) {
+	db, heapTbl := newBenchDB(t, 2000, Options{Devices: 1})
+	lsmTbl, err := db.CreateTableLSM("L", 2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 300; i++ {
+		if _, err := lsmTbl.Insert(i, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.GrowDevices(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	if err := heapTbl.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if got := lsmTbl.Count(); got != 300 {
+		t.Fatalf("LSM count after rebalance = %d", got)
+	}
+}
+
+// Recover looks up the table of an interrupted heap bulk delete among the
+// heap tables only. LSM tables in the catalog are visited in map order, so
+// the crash is repeated to give every order a chance.
+func TestRecoverHeapBulkDeleteAmongLSMTables(t *testing.T) {
+	victims := make([]int64, 0, 100)
+	for v := int64(0); v < 500; v += 5 {
+		victims = append(victims, v)
+	}
+	build := func() (*DB, *Table) {
+		db, heapTbl := newBenchDB(t, 500, Options{})
+		for i := 0; i < 6; i++ {
+			tbl, err := db.CreateTableLSM(fmt.Sprintf("L%d", i), 2, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := int64(0); k < 20; k++ {
+				if _, err := tbl.Insert(k, k); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return db, heapTbl
+	}
+	db, heapTbl := build()
+	before := db.Disk().IOCount()
+	if _, err := heapTbl.BulkDelete(0, victims, BulkOptions{Method: SortMerge}); err != nil {
+		t.Fatal(err)
+	}
+	crashAt := (db.Disk().IOCount() - before) / 2
+	for run := 0; run < 10; run++ {
+		db, heapTbl := build()
+		db.Disk().SetFaultPlan(sim.NewFaultPlan().CrashAtIO(crashAt))
+		if _, err := heapTbl.BulkDelete(0, victims, BulkOptions{Method: SortMerge}); !sim.IsCrash(err) {
+			t.Fatalf("run %d: bulk delete did not crash: %v", run, err)
+		}
+		disk := db.SimulateCrash()
+		disk.SetFaultPlan(nil)
+		rdb, rep, err := Recover(disk, Options{})
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if !rep.BulkInProgress || rep.Table != "R" {
+			t.Fatalf("run %d: recovery report %+v, want the bulk delete on R rolled forward", run, rep)
+		}
+		if got := rdb.Table("R").Count(); got != 400 {
+			t.Fatalf("run %d: R holds %d rows after recovery, want 400", run, got)
+		}
+		if got := rdb.Table("L5").Count(); got != 20 {
+			t.Fatalf("run %d: L5 holds %d rows after recovery, want 20", run, got)
+		}
 	}
 }

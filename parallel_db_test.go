@@ -40,7 +40,7 @@ func newArrayDB(t *testing.T, n int, opts Options) (*DB, *Table) {
 
 func TestParallelBulkDeleteOnDeviceArray(t *testing.T) {
 	db, tbl := newArrayDB(t, 2000, Options{})
-	for k, ix := range tbl.t.Idx {
+	for k, ix := range tbl.heapTable().Idx {
 		if dev := db.Disk().DeviceOf(ix.Tree.ID()); dev != k+1 {
 			t.Fatalf("index %s on device %d, want %d", ix.Def.Name, dev, k+1)
 		}
@@ -81,7 +81,7 @@ func TestParallelBulkDeleteOnDeviceArray(t *testing.T) {
 	if rtbl == nil {
 		t.Fatal("table missing after recovery")
 	}
-	for k, ix := range rtbl.t.Idx {
+	for k, ix := range rtbl.heapTable().Idx {
 		if dev := rdb.Disk().DeviceOf(ix.Tree.ID()); dev != k+1 {
 			t.Fatalf("recovered index %s on device %d, want %d", ix.Def.Name, dev, k+1)
 		}
@@ -96,7 +96,7 @@ func TestParallelBulkDeleteOnDeviceArray(t *testing.T) {
 	if err := rtbl.CreateIndex(IndexOptions{Name: "ID", Field: 2}); err != nil {
 		t.Fatal(err)
 	}
-	nd := rtbl.t.FindIndex("ID")
+	nd := rtbl.heapTable().FindIndex("ID")
 	if dev := rdb.Disk().DeviceOf(nd.Tree.ID()); dev != 1 { // ixSeq resumed at 3
 		t.Fatalf("post-recovery index on device %d, want 1", dev)
 	}

@@ -27,31 +27,17 @@ type PartitionSpec = heap.PartitionSpec
 // multi-device array each partition is placed by the device policy, so the
 // per-partition passes of a bulk delete can overlap on separate spindles.
 func (db *DB) CreateTablePartitioned(name string, numFields, recordSize int, spec PartitionSpec) (*Table, error) {
-	if db.crashed.Load() {
-		return nil, errCrashed
-	}
 	schema := record.Schema{NumFields: numFields, Size: recordSize}
 	if err := spec.Validate(schema); err != nil {
 		return nil, err
 	}
-	db.mu.Lock()
-	if _, ok := db.tables[name]; ok {
-		db.mu.Unlock()
-		return nil, fmt.Errorf("bulkdel: table %q already exists", name)
-	}
-	t, err := table.CreatePartitioned(db.pool, name, schema, spec)
+	tbl, err := db.addTable(name, schema, func(tbl *Table) (store, error) {
+		return tbl.openHeap(table.CreatePartitioned(db.pool, name, schema, spec))
+	})
 	if err != nil {
-		db.mu.Unlock()
 		return nil, err
 	}
-	t.Lock = db.cc.Lock(name)
-	if db.mvccOn() {
-		t.MVCC = table.NewMVCC(db.epochs)
-	}
-	tbl := &Table{db: db, t: t}
-	db.tables[name] = tbl
-	db.mu.Unlock()
-	if err := tbl.placeHeapPartitions(); err != nil {
+	if err := tbl.store.(*heapStore).placeHeapPartitions(); err != nil {
 		return nil, err
 	}
 	if err := db.saveCatalog(); err != nil {
@@ -61,14 +47,21 @@ func (db *DB) CreateTablePartitioned(name string, numFields, recordSize int, spe
 }
 
 // Partitions reports how many heap partitions the table has (1 = a plain
-// single-file heap).
-func (tbl *Table) Partitions() int { return len(tbl.t.Heap.Parts()) }
+// single-file heap or an LSM table).
+func (tbl *Table) Partitions() int {
+	if h, ok := tbl.store.(*heapStore); ok {
+		return len(h.t.Heap.Parts())
+	}
+	return 1
+}
 
 // PartitionSpec returns the table's partitioning declaration (zero value
-// for a single-file heap).
+// for a single-file heap or an LSM table).
 func (tbl *Table) PartitionSpec() PartitionSpec {
-	if ph, ok := tbl.t.Heap.(*heap.Partitioned); ok {
-		return ph.Spec()
+	if h, ok := tbl.store.(*heapStore); ok {
+		if ph, ok := h.t.Heap.(*heap.Partitioned); ok {
+			return ph.Spec()
+		}
 	}
 	return PartitionSpec{}
 }
@@ -82,43 +75,39 @@ func (tbl *Table) PartitionSpec() PartitionSpec {
 // WAL-protected (like the other DDL, a crash mid-rewrite loses the
 // statement, not the log).
 func (tbl *Table) AlterPartitioning(spec PartitionSpec) error {
-	if tbl.db.crashed.Load() {
-		return errCrashed
-	}
 	if spec.NumParts() > 0 {
-		if err := spec.Validate(tbl.t.Schema); err != nil {
+		if err := spec.Validate(tbl.schema); err != nil {
 			return err
 		}
 	}
-	stmt, held := tbl.db.beginStatement("alter-partitioning", tbl.t.Name,
-		[]cc.Claim{{Table: tbl.t.Name, Mode: cc.Structural}})
-	defer tbl.db.endStatement(stmt, held)
-	tbl.waitIndexesOnline()
-	if err := tbl.t.Repartition(spec); err != nil {
-		return err
-	}
-	if err := tbl.placeHeapPartitions(); err != nil {
-		return err
-	}
-	tbl.db.obs.Registry().Counter("repartitions_run").Add(1)
-	return tbl.db.saveCatalog()
+	return tbl.structural("alter-partitioning", func(h *heapStore, _ *obs.Stmt) error {
+		if err := h.t.Repartition(spec); err != nil {
+			return err
+		}
+		if err := h.placeHeapPartitions(); err != nil {
+			return err
+		}
+		tbl.db.obs.Registry().Counter("repartitions_run").Add(1)
+		return tbl.db.saveCatalog()
+	})
 }
 
 // placeHeapPartitions spreads a partitioned heap's files across the data
 // devices via the placement policy. Single-file heaps stay on the system
 // device (their sequential pass shares it with the WAL, as before).
-func (tbl *Table) placeHeapPartitions() error {
-	parts := tbl.t.Heap.Parts()
-	if len(parts) <= 1 || tbl.db.numDataDevices() <= 1 {
+func (h *heapStore) placeHeapPartitions() error {
+	db := h.tbl.db
+	parts := h.t.Heap.Parts()
+	if len(parts) <= 1 || db.numDataDevices() <= 1 {
 		return nil
 	}
 	avoid := make(map[int]bool)
-	for _, ix := range tbl.t.Idx {
-		avoid[tbl.db.disk.DeviceOf(ix.Tree.ID())] = true
+	for _, ix := range h.t.Idx {
+		avoid[db.disk.DeviceOf(ix.Tree.ID())] = true
 	}
 	for _, p := range parts {
-		dev := tbl.db.pickDevice(avoid)
-		if err := tbl.db.pool.Relocate(p.ID(), dev); err != nil {
+		dev := db.pickDevice(avoid)
+		if err := db.pool.Relocate(p.ID(), dev); err != nil {
 			return err
 		}
 		avoid[dev] = true
@@ -129,13 +118,14 @@ func (tbl *Table) placeHeapPartitions() error {
 // deviceAffinity is the set of devices the table's structures already
 // occupy — the placement policy avoids them so a statement's per-structure
 // passes land on separate arms.
-func (tbl *Table) deviceAffinity() map[int]bool {
+func (h *heapStore) deviceAffinity() map[int]bool {
+	disk := h.tbl.db.disk
 	avoid := make(map[int]bool)
-	for _, p := range tbl.t.Heap.Parts() {
-		avoid[tbl.db.disk.DeviceOf(p.ID())] = true
+	for _, p := range h.t.Heap.Parts() {
+		avoid[disk.DeviceOf(p.ID())] = true
 	}
-	for _, ix := range tbl.t.Idx {
-		avoid[tbl.db.disk.DeviceOf(ix.Tree.ID())] = true
+	for _, ix := range h.t.Idx {
+		avoid[disk.DeviceOf(ix.Tree.ID())] = true
 	}
 	return avoid
 }
@@ -234,11 +224,15 @@ func (db *DB) RebalanceCtx(ctx context.Context) (*RebalanceResult, error) {
 	db.mu.Lock()
 	owned := make(map[sim.FileID]bool)
 	for _, tbl := range db.tables {
-		tbl.waitIndexesOnline()
-		for _, p := range tbl.t.Heap.Parts() {
+		h, ok := tbl.store.(*heapStore)
+		if !ok {
+			continue // SSTables are placed by the LSM tree, not migrated
+		}
+		h.waitIndexesOnline()
+		for _, p := range h.t.Heap.Parts() {
 			owned[p.ID()] = true
 		}
-		for _, ix := range tbl.t.Idx {
+		for _, ix := range h.t.Idx {
 			owned[ix.Tree.ID()] = true
 		}
 	}
@@ -255,13 +249,9 @@ func (db *DB) RebalanceCtx(ctx context.Context) (*RebalanceResult, error) {
 	start := db.disk.Clock()
 	var cancelErr error
 	for _, m := range plan {
-		select {
-		case <-ctx.Done():
+		if ctx.Err() != nil {
 			stmt.Event(obs.EvCancel, fmt.Sprintf("rebalance stopped after %d/%d moves", len(res.Moves), len(plan)))
 			cancelErr = fmt.Errorf("bulkdel: rebalance: %w: %v", ErrCancelled, ctx.Err())
-		default:
-		}
-		if cancelErr != nil {
 			break
 		}
 		if err := db.migrateFile(m.File, m.To); err != nil {

@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"time"
 
 	"bulkdel/internal/btree"
 	"bulkdel/internal/cc"
 	"bulkdel/internal/core"
-	"bulkdel/internal/lsm"
 	"bulkdel/internal/obs"
 	"bulkdel/internal/record"
 	"bulkdel/internal/sim"
@@ -37,14 +37,20 @@ type IndexOptions struct {
 	Priority int
 }
 
-// Table is a base table with its indexes.
+// Table is a base table: a name, a schema, the §3 table lock and one
+// storage backend. A heap table's store is a heapStore (the paper's heap
+// file with B-link-tree indexes and MVCC snapshot state); an LSM table's is
+// an lsmStore (see lsm_backend.go). Operations both backends serve go
+// through store; heap-only ones reach the heap through Table.heap.
 type Table struct {
-	db *DB
-	t  *table.Table
-	// lsm, when non-nil, marks the table as LSM-backed: t is a schema
-	// stub (nil heap, no indexes) and every data path routes through the
-	// tree instead. See lsm_backend.go.
-	lsm *lsm.Tree
+	db     *DB
+	name   string
+	schema record.Schema
+	// lock is the table's shared instance from the DB's cc.Manager, so
+	// ordered multi-table acquisition and the DML entry points contend on
+	// one object.
+	lock  *cc.TableLock
+	store store
 	// updMu serializes updater DML (Insert/DeleteRow) against each
 	// other. It stands in for the fine-grained page latches a production
 	// engine would take; the bulk deleter does not take it — during a
@@ -53,24 +59,57 @@ type Table struct {
 	updMu sync.Mutex
 }
 
+// store is what both storage backends serve. Inserts run under the shared
+// table lock and updMu, checks under the shared table lock; every other
+// method takes the locks it needs.
+type store interface {
+	insert(fields []int64, direct bool) (RID, error)
+	count() int64
+	lookup(field int, v int64) ([][]int64, error)
+	lookupRange(field int, lo, hi int64) ([][]int64, error)
+	scan(fn func(rid RID, fields []int64) error) error
+	bulkDelete(field int, values []int64, opts BulkOptions) (*BulkResult, error)
+	deleteRange(field int, lo, hi int64, opts BulkOptions) (*BulkResult, error)
+	check() error
+	flush() error
+	explain(field int, m Method, memory int) string
+	catalogEntry() catalogTable
+}
+
+// heapStore is the heap backend: the table.Table heap, its B-link-tree
+// indexes and its MVCC snapshot state.
+type heapStore struct {
+	tbl *Table
+	t   *table.Table
+}
+
+// heap returns the table's heap backend, or the error every heap-only
+// operation reports on an LSM table. Callers that fall back silently on an
+// LSM table assert tbl.store.(*heapStore) instead.
+func (tbl *Table) heap() (*heapStore, error) {
+	if h, ok := tbl.store.(*heapStore); ok {
+		return h, nil
+	}
+	return nil, fmt.Errorf("bulkdel: table %s is LSM-backed; the operation needs a heap table (RIDs, indexes, MVCC)", tbl.name)
+}
+
+// newTable builds a Table around its name and schema; the caller installs
+// the store.
+func (db *DB) newTable(name string, schema record.Schema) *Table {
+	return &Table{db: db, name: name, schema: schema, lock: db.cc.Lock(name)}
+}
+
 // Name returns the table name.
-func (tbl *Table) Name() string { return tbl.t.Name }
+func (tbl *Table) Name() string { return tbl.name }
 
 // NumFields returns the number of int64 attributes.
-func (tbl *Table) NumFields() int { return tbl.t.Schema.NumFields }
+func (tbl *Table) NumFields() int { return tbl.schema.NumFields }
 
 // Count returns the number of live records. On an LSM table this is a
 // merged scan (tombstones subtract); a scan error reports -1.
-func (tbl *Table) Count() int64 {
-	if tbl.lsm != nil {
-		n, err := tbl.lsmCount()
-		if err != nil {
-			return -1
-		}
-		return n
-	}
-	return tbl.t.Heap.Count()
-}
+func (tbl *Table) Count() int64 { return tbl.store.count() }
+
+func (h *heapStore) count() int64 { return h.t.Heap.Count() }
 
 // CreateIndex builds an index over the current contents (scan + external
 // sort + bottom-up bulk load). On a multi-device array (Options.Devices)
@@ -79,59 +118,76 @@ func (tbl *Table) Count() int64 {
 // independent ⋈̸ passes of a parallel bulk delete can overlap on separate
 // spindles.
 func (tbl *Table) CreateIndex(opts IndexOptions) error {
-	if tbl.db.crashed.Load() {
-		return errCrashed
-	}
-	if tbl.lsm != nil {
-		return fmt.Errorf("bulkdel: table %s is LSM-backed; secondary indexes are not supported", tbl.t.Name)
-	}
 	// Structural claim: the build scans the heap and installs the new tree,
 	// and no reader — snapshot readers included — may observe the table
 	// while the scan races updaters.
-	stmt, held := tbl.db.beginStatement("create-index", tbl.t.Name,
-		[]cc.Claim{{Table: tbl.t.Name, Mode: cc.Structural}})
-	defer tbl.db.endStatement(stmt, held)
-	tbl.waitIndexesOnline()
-	ix, err := tbl.t.CreateIndex(table.IndexDef{
-		Name: opts.Name, Field: opts.Field, KeyLen: opts.KeyLen,
-		Unique: opts.Unique, Clustered: opts.Clustered, Priority: opts.Priority,
+	return tbl.structural("create-index", func(h *heapStore, _ *obs.Stmt) error {
+		ix, err := h.t.CreateIndex(table.IndexDef{
+			Name: opts.Name, Field: opts.Field, KeyLen: opts.KeyLen,
+			Unique: opts.Unique, Clustered: opts.Clustered, Priority: opts.Priority,
+		})
+		if err != nil {
+			return err
+		}
+		if tbl.db.numDataDevices() > 1 {
+			dev := tbl.db.pickDevice(h.deviceAffinity())
+			if err := tbl.db.pool.Relocate(ix.Tree.ID(), dev); err != nil {
+				return err
+			}
+		}
+		return tbl.db.saveCatalog()
 	})
+}
+
+// structural runs a heap-only statement under the table's Structural claim
+// (snapshot readers drained and held out), once every index is online.
+func (tbl *Table) structural(kind string, fn func(h *heapStore, stmt *obs.Stmt) error) error {
+	if tbl.db.crashed.Load() {
+		return errCrashed
+	}
+	h, err := tbl.heap()
 	if err != nil {
 		return err
 	}
-	if tbl.db.numDataDevices() > 1 {
-		dev := tbl.db.pickDevice(tbl.deviceAffinity())
-		if err := tbl.db.pool.Relocate(ix.Tree.ID(), dev); err != nil {
-			return err
-		}
-	}
-	return tbl.db.saveCatalog()
+	stmt, held := tbl.db.beginStatement(kind, tbl.name,
+		[]cc.Claim{{Table: tbl.name, Mode: cc.Structural}})
+	defer tbl.db.endStatement(stmt, held)
+	h.waitIndexesOnline()
+	return fn(h, stmt)
 }
 
 // DropIndex removes an index.
 func (tbl *Table) DropIndex(name string) error {
-	if err := tbl.t.DropIndex(name); err != nil {
+	h, err := tbl.heap()
+	if err != nil {
+		return err
+	}
+	if err := h.t.DropIndex(name); err != nil {
 		return err
 	}
 	return tbl.db.saveCatalog()
 }
 
-// IndexNames lists the table's indexes in catalog order.
+// IndexNames lists the table's indexes in catalog order (none on an LSM
+// table).
 func (tbl *Table) IndexNames() []string {
 	var out []string
-	for _, ix := range tbl.t.Idx {
-		out = append(out, ix.Def.Name)
+	if h, ok := tbl.store.(*heapStore); ok {
+		for _, ix := range h.t.Idx {
+			out = append(out, ix.Def.Name)
+		}
 	}
 	return out
 }
 
 // IndexHeight returns the height of the named index (0 if absent).
 func (tbl *Table) IndexHeight(name string) int {
-	ix := tbl.t.FindIndex(name)
-	if ix == nil {
-		return 0
+	if h, ok := tbl.store.(*heapStore); ok {
+		if ix := h.t.FindIndex(name); ix != nil {
+			return ix.Tree.Height()
+		}
 	}
-	return ix.Tree.Height()
+	return 0
 }
 
 // Insert adds one row (values for the leading fields; the rest zero) and
@@ -140,75 +196,72 @@ func (tbl *Table) IndexHeight(name string) int {
 // exclusively and resume once the lock is released (after the heap and the
 // unique indexes are processed); updates to still-offline indexes go
 // through their side-files.
-func (tbl *Table) Insert(fields ...int64) (RID, error) {
-	if tbl.db.crashed.Load() {
-		return record.NilRID, errCrashed
-	}
-	if tbl.lsm != nil {
-		return tbl.lsmInsert(fields)
-	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	tbl.updMu.Lock()
-	defer tbl.updMu.Unlock()
-	return tbl.t.Insert(fields)
-}
+func (tbl *Table) Insert(fields ...int64) (RID, error) { return tbl.insert(fields, false) }
 
 // InsertDirect adds a row using direct propagation when indexes are
 // offline during a concurrent bulk delete: entries are installed
-// immediately and marked undeletable (paper §3.1.2).
-func (tbl *Table) InsertDirect(fields ...int64) (RID, error) {
+// immediately and marked undeletable (paper §3.1.2). On an LSM table it is
+// Insert.
+func (tbl *Table) InsertDirect(fields ...int64) (RID, error) { return tbl.insert(fields, true) }
+
+func (tbl *Table) insert(fields []int64, direct bool) (RID, error) {
 	if tbl.db.crashed.Load() {
 		return record.NilRID, errCrashed
 	}
-	if tbl.lsm != nil {
-		return tbl.lsmInsert(fields)
-	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
+	tbl.lock.LockShared()
+	defer tbl.lock.UnlockShared()
 	tbl.updMu.Lock()
 	defer tbl.updMu.Unlock()
-	return tbl.t.InsertDirect(fields)
+	return tbl.store.insert(fields, direct)
+}
+
+func (h *heapStore) insert(fields []int64, direct bool) (RID, error) {
+	if direct {
+		return h.t.InsertDirect(fields)
+	}
+	return h.t.Insert(fields)
 }
 
 // DeleteRow removes one record by RID.
 func (tbl *Table) DeleteRow(rid RID) error {
-	if tbl.lsm != nil {
-		return fmt.Errorf("bulkdel: table %s is LSM-backed and has no RIDs; delete by key", tbl.t.Name)
+	h, err := tbl.heap()
+	if err != nil {
+		return err
 	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
+	tbl.lock.LockShared()
+	defer tbl.lock.UnlockShared()
 	tbl.updMu.Lock()
 	defer tbl.updMu.Unlock()
-	return tbl.t.DeleteRow(rid)
+	return h.t.DeleteRow(rid)
 }
 
 // beginSnapshotRead opens an MVCC snapshot read on the table: it takes the
 // snapshot-read lock mode (admitted alongside a bulk delete's exclusive
 // claim; blocked only by Structural claims), captures the commit epoch, and
 // returns it with a release func. Callers must hold neither lock already.
-func (tbl *Table) beginSnapshotRead() (s uint64, done func()) {
-	blocked := tbl.t.Lock.LockSnapshotRead()
-	reg := tbl.db.obs.Registry()
+func (h *heapStore) beginSnapshotRead() (s uint64, done func()) {
+	db, lock := h.tbl.db, h.tbl.lock
+	blocked := lock.LockSnapshotRead()
+	reg := db.obs.Registry()
 	reg.Counter(obs.MetricSnapshotReads).Add(1)
 	if blocked {
 		reg.Counter(obs.MetricSnapshotReadWaits).Add(1)
 	}
-	s = tbl.db.epochs.Snapshot()
-	mv := tbl.t.MVCC
+	s = db.epochs.Snapshot()
+	mv := h.t.MVCC
 	return s, func() {
-		tbl.db.epochs.Release(s)
+		db.epochs.Release(s)
 		mv.Prune() // versions only this snapshot needed can go now
-		tbl.db.noteRetainedBytes()
-		tbl.t.Lock.UnlockSnapshotRead()
+		db.noteRetainedBytes()
+		lock.UnlockSnapshotRead()
 	}
 }
 
 // noteFallbackScan records an indexed snapshot lookup that was served by
 // the visibility-filtered heap scan instead of the index tree.
-func (tbl *Table) noteFallbackScan(field int, usedIndex bool) {
-	if !usedIndex && tbl.t.IndexOnField(field) != nil {
-		tbl.db.obs.Registry().Counter(obs.MetricSnapshotFallbackScans).Add(1)
+func (h *heapStore) noteFallbackScan(field int, usedIndex bool) {
+	if !usedIndex && h.t.IndexOnField(field) != nil {
+		h.tbl.db.obs.Registry().Counter(obs.MetricSnapshotFallbackScans).Add(1)
 	}
 }
 
@@ -219,13 +272,14 @@ func (tbl *Table) noteFallbackScan(field int, usedIndex bool) {
 // exclusively and proceeds once the §3.1 critical phase releases the lock
 // (indexes still offline are not needed — Get reads the heap).
 func (tbl *Table) Get(rid RID) ([]int64, error) {
-	if tbl.lsm != nil {
-		return nil, fmt.Errorf("bulkdel: table %s is LSM-backed and has no RIDs; use Lookup", tbl.t.Name)
+	h, err := tbl.heap()
+	if err != nil {
+		return nil, err
 	}
-	if tbl.t.MVCC != nil {
-		s, done := tbl.beginSnapshotRead()
+	if h.t.MVCC != nil {
+		s, done := h.beginSnapshotRead()
 		defer done()
-		row, ok, err := tbl.t.SnapshotRow(rid, s)
+		row, ok, err := h.t.SnapshotRow(rid, s)
 		if err != nil {
 			return nil, err
 		}
@@ -234,15 +288,16 @@ func (tbl *Table) Get(rid RID) ([]int64, error) {
 		}
 		return row, nil
 	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	return tbl.t.Get(rid)
+	tbl.lock.LockShared()
+	defer tbl.lock.UnlockShared()
+	return h.t.Get(rid)
 }
 
 // HasIndexOnField reports whether some index covers the field, i.e.
 // whether Lookup/LookupRIDs on it can use an access path.
 func (tbl *Table) HasIndexOnField(field int) bool {
-	return tbl.t.IndexOnField(field) != nil
+	h, ok := tbl.store.(*heapStore)
+	return ok && h.t.IndexOnField(field) != nil
 }
 
 // Lookup returns all rows whose field equals v, via an index on the field.
@@ -250,19 +305,20 @@ func (tbl *Table) HasIndexOnField(field int) bool {
 // never blocks behind a bulk delete, and while one holds the table's index
 // trees offline the lookup degrades to a visibility-filtered heap scan.
 func (tbl *Table) Lookup(field int, v int64) ([][]int64, error) {
-	if tbl.lsm != nil {
-		return tbl.lsmLookup(field, v)
-	}
-	if tbl.t.MVCC != nil {
-		s, done := tbl.beginSnapshotRead()
+	return tbl.store.lookup(field, v)
+}
+
+func (h *heapStore) lookup(field int, v int64) ([][]int64, error) {
+	if h.t.MVCC != nil {
+		s, done := h.beginSnapshotRead()
 		defer done()
-		rows, usedIndex, err := tbl.t.SnapshotLookup(field, v, s)
-		tbl.noteFallbackScan(field, usedIndex)
+		rows, usedIndex, err := h.t.SnapshotLookup(field, v, s)
+		h.noteFallbackScan(field, usedIndex)
 		return rows, err
 	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	return tbl.t.Lookup(field, v)
+	h.tbl.lock.LockShared()
+	defer h.tbl.lock.UnlockShared()
+	return h.t.Lookup(field, v)
 }
 
 // LookupRIDs returns the RIDs of all rows whose field equals v, via an
@@ -270,24 +326,25 @@ func (tbl *Table) Lookup(field int, v int64) ([][]int64, error) {
 // snapshot are included — they name the snapshot's retained images, and a
 // Get through the same open View resolves them; a fresh Get may not.
 func (tbl *Table) LookupRIDs(field int, v int64) ([]RID, error) {
-	if tbl.lsm != nil {
-		return nil, fmt.Errorf("bulkdel: table %s is LSM-backed and has no RIDs", tbl.t.Name)
+	h, err := tbl.heap()
+	if err != nil {
+		return nil, err
 	}
-	if tbl.t.MVCC != nil {
-		if tbl.t.IndexOnField(field) == nil {
-			return nil, fmt.Errorf("bulkdel: table %s has no index on field %d", tbl.t.Name, field)
+	if h.t.MVCC != nil {
+		if h.t.IndexOnField(field) == nil {
+			return nil, fmt.Errorf("bulkdel: table %s has no index on field %d", tbl.name, field)
 		}
-		s, done := tbl.beginSnapshotRead()
+		s, done := h.beginSnapshotRead()
 		defer done()
-		rids, usedIndex, err := tbl.t.SnapshotLookupRIDs(field, v, s)
-		tbl.noteFallbackScan(field, usedIndex)
+		rids, usedIndex, err := h.t.SnapshotLookupRIDs(field, v, s)
+		h.noteFallbackScan(field, usedIndex)
 		return rids, err
 	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	ix := tbl.t.IndexOnField(field)
+	tbl.lock.LockShared()
+	defer tbl.lock.UnlockShared()
+	ix := h.t.IndexOnField(field)
 	if ix == nil {
-		return nil, fmt.Errorf("bulkdel: table %s has no index on field %d", tbl.t.Name, field)
+		return nil, fmt.Errorf("bulkdel: table %s has no index on field %d", tbl.name, field)
 	}
 	// Wait out a previous statement's still-offline index pass (§3.1 early
 	// release) before traversing the tree; see Table.Lookup. The latch
@@ -302,28 +359,30 @@ func (tbl *Table) LookupRIDs(field int, v int64) ([]RID, error) {
 // inclusive), via an index on the field when one exists, else a heap scan.
 // Index results arrive in key order; scan results in physical order.
 func (tbl *Table) LookupRange(field int, lo, hi int64) ([][]int64, error) {
-	if tbl.lsm != nil {
-		return tbl.lsmLookupRange(field, lo, hi)
-	}
-	if tbl.t.MVCC != nil {
-		s, done := tbl.beginSnapshotRead()
+	return tbl.store.lookupRange(field, lo, hi)
+}
+
+func (h *heapStore) lookupRange(field int, lo, hi int64) ([][]int64, error) {
+	t := h.t
+	if t.MVCC != nil {
+		s, done := h.beginSnapshotRead()
 		defer done()
-		rows, usedIndex, err := tbl.t.SnapshotLookupRange(field, lo, hi, s)
-		tbl.noteFallbackScan(field, usedIndex)
+		rows, usedIndex, err := t.SnapshotLookupRange(field, lo, hi, s)
+		h.noteFallbackScan(field, usedIndex)
 		return rows, err
 	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
+	h.tbl.lock.LockShared()
+	defer h.tbl.lock.UnlockShared()
 	if lo > hi {
 		return nil, nil
 	}
-	ix := tbl.t.IndexOnField(field)
+	ix := t.IndexOnField(field)
 	if ix == nil {
 		var out [][]int64
-		err := tbl.t.Heap.Scan(func(_ record.RID, rec []byte) error {
-			v := tbl.t.Schema.Field(rec, field)
+		err := t.Heap.Scan(func(_ record.RID, rec []byte) error {
+			v := t.Schema.Field(rec, field)
 			if v >= lo && v <= hi {
-				vals, err := tbl.t.Schema.Decode(rec)
+				vals, err := t.Schema.Decode(rec)
 				if err != nil {
 					return err
 				}
@@ -352,7 +411,7 @@ func (tbl *Table) LookupRange(field int, lo, hi int64) ([][]int64, error) {
 	}
 	out := make([][]int64, 0, len(rids))
 	for _, rid := range rids {
-		row, err := tbl.t.Get(rid)
+		row, err := t.Get(rid)
 		if err != nil {
 			return nil, err
 		}
@@ -365,18 +424,19 @@ func (tbl *Table) LookupRange(field int, lo, hi int64) ([][]int64, error) {
 // surviving rows come first in physical order, then the snapshot's retained
 // rows (deleted after the snapshot) in RID order.
 func (tbl *Table) Scan(fn func(rid RID, fields []int64) error) error {
-	if tbl.lsm != nil {
-		return tbl.lsmScan(fn)
-	}
-	if tbl.t.MVCC != nil {
-		s, done := tbl.beginSnapshotRead()
+	return tbl.store.scan(fn)
+}
+
+func (h *heapStore) scan(fn func(rid RID, fields []int64) error) error {
+	if h.t.MVCC != nil {
+		s, done := h.beginSnapshotRead()
 		defer done()
-		return tbl.t.SnapshotScan(s, fn)
+		return h.t.SnapshotScan(s, fn)
 	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	return tbl.t.Heap.Scan(func(rid record.RID, rec []byte) error {
-		vals, err := tbl.t.Schema.Decode(rec)
+	h.tbl.lock.LockShared()
+	defer h.tbl.lock.UnlockShared()
+	return h.t.Heap.Scan(func(rid record.RID, rec []byte) error {
+		vals, err := h.t.Schema.Decode(rec)
 		if err != nil {
 			return err
 		}
@@ -394,21 +454,22 @@ func (tbl *Table) View() (*View, error) {
 	if tbl.db.crashed.Load() {
 		return nil, errCrashed
 	}
-	if tbl.lsm != nil {
-		return nil, fmt.Errorf("bulkdel: table %s is LSM-backed; MVCC views are not supported", tbl.t.Name)
+	h, err := tbl.heap()
+	if err != nil {
+		return nil, err
 	}
-	if tbl.t.MVCC == nil {
+	if h.t.MVCC == nil {
 		return nil, fmt.Errorf("bulkdel: snapshot reads are disabled (Options.DisableSnapshotReads)")
 	}
-	s, done := tbl.beginSnapshotRead()
-	return &View{tbl: tbl, s: s, done: done}, nil
+	s, done := h.beginSnapshotRead()
+	return &View{h: h, s: s, done: done}, nil
 }
 
 // View is a stable MVCC read view over one table. Its read methods mirror
 // the table's, evaluated at the view's snapshot epoch. Not safe for
 // concurrent use by multiple goroutines.
 type View struct {
-	tbl  *Table
+	h    *heapStore
 	s    uint64
 	done func()
 }
@@ -427,26 +488,26 @@ func (v *View) Close() {
 // Get decodes the record at rid as of the view's snapshot; ok is false when
 // the snapshot holds no such row.
 func (v *View) Get(rid RID) (fields []int64, ok bool, err error) {
-	return v.tbl.t.SnapshotRow(rid, v.s)
+	return v.h.t.SnapshotRow(rid, v.s)
 }
 
 // Lookup returns all rows whose field equals val, as of the snapshot.
 func (v *View) Lookup(field int, val int64) ([][]int64, error) {
-	rows, usedIndex, err := v.tbl.t.SnapshotLookup(field, val, v.s)
-	v.tbl.noteFallbackScan(field, usedIndex)
+	rows, usedIndex, err := v.h.t.SnapshotLookup(field, val, v.s)
+	v.h.noteFallbackScan(field, usedIndex)
 	return rows, err
 }
 
 // LookupRange returns all rows with lo <= field <= hi, as of the snapshot.
 func (v *View) LookupRange(field int, lo, hi int64) ([][]int64, error) {
-	rows, usedIndex, err := v.tbl.t.SnapshotLookupRange(field, lo, hi, v.s)
-	v.tbl.noteFallbackScan(field, usedIndex)
+	rows, usedIndex, err := v.h.t.SnapshotLookupRange(field, lo, hi, v.s)
+	v.h.noteFallbackScan(field, usedIndex)
 	return rows, err
 }
 
 // Scan calls fn for every row visible to the snapshot.
 func (v *View) Scan(fn func(rid RID, fields []int64) error) error {
-	return v.tbl.t.SnapshotScan(v.s, fn)
+	return v.h.t.SnapshotScan(v.s, fn)
 }
 
 // Check verifies heap/index agreement and every tree invariant. Like the
@@ -454,37 +515,33 @@ func (v *View) Scan(fn func(rid RID, fields []int64) error) error {
 // waits for every index gate: a previous statement's early-released index
 // passes must finish before the trees can be scanned (or judged).
 func (tbl *Table) Check() error {
-	if tbl.lsm != nil {
-		tbl.t.Lock.LockShared()
-		defer tbl.t.Lock.UnlockShared()
-		return tbl.lsm.Check()
-	}
-	tbl.t.Lock.LockShared()
-	defer tbl.t.Lock.UnlockShared()
-	tbl.waitIndexesOnline()
-	return tbl.t.CheckConsistency()
+	tbl.lock.LockShared()
+	defer tbl.lock.UnlockShared()
+	return tbl.store.check()
+}
+
+func (h *heapStore) check() error {
+	h.waitIndexesOnline()
+	return h.t.CheckConsistency()
 }
 
 // Flush forces the table's pages to disk. LSM tables are a no-op: the
 // memtable's durability comes from the WAL, and SSTables are flushed as
 // they are built.
-func (tbl *Table) Flush() error {
-	if tbl.lsm != nil {
-		return nil
-	}
-	return tbl.t.Flush()
-}
+func (tbl *Table) Flush() error { return tbl.store.flush() }
+
+func (h *heapStore) flush() error { return h.t.Flush() }
 
 // SetDeletePolicy switches the traditional delete's page reclamation
 // between free-at-empty (default, the paper's choice) and merge-at-half.
+// LSM tables have no B-trees to tune.
 func (tbl *Table) SetDeletePolicy(mergeAtHalf bool) {
-	if tbl.lsm != nil {
-		return // no B-trees to tune
-	}
-	if mergeAtHalf {
-		tbl.t.SetPolicyAll(btree.MergeAtHalf)
-	} else {
-		tbl.t.SetPolicyAll(btree.FreeAtEmpty)
+	if h, ok := tbl.store.(*heapStore); ok {
+		policy := btree.FreeAtEmpty
+		if mergeAtHalf {
+			policy = btree.MergeAtHalf
+		}
+		h.t.SetPolicyAll(policy)
 	}
 }
 
@@ -591,11 +648,11 @@ func (r *BulkResult) MetricsJSON() ([]byte, error) {
 }
 
 // target builds core's view of the table.
-func (tbl *Table) target() *core.Target {
+func (h *heapStore) target() *core.Target {
 	tgt := &core.Target{
-		Name: tbl.t.Name, Heap: tbl.t.Heap, Schema: tbl.t.Schema, Pool: tbl.db.pool,
+		Name: h.t.Name, Heap: h.t.Heap, Schema: h.t.Schema, Pool: h.tbl.db.pool,
 	}
-	for _, ix := range tbl.t.Idx {
+	for _, ix := range h.t.Idx {
 		tgt.Indexes = append(tgt.Indexes, core.IndexRef{
 			Name: ix.Def.Name, Tree: ix.Tree, Field: ix.Def.Field,
 			Unique: ix.Def.Unique, Clustered: ix.Def.Clustered,
@@ -611,12 +668,12 @@ func (tbl *Table) target() *core.Target {
 // replayed statement (online roll-forward after cancel) must pass the same
 // token as its first attempt, so its retained images commit with the
 // statement instead of lingering pending forever.
-func (tbl *Table) retainTarget(tgt *core.Target, token uint64) {
-	mv := tbl.t.MVCC
+func (h *heapStore) retainTarget(tgt *core.Target, token uint64) {
+	mv := h.t.MVCC
 	if mv == nil {
 		return
 	}
-	reg := tbl.db.obs.Registry()
+	reg := h.tbl.db.obs.Registry()
 	tgt.Retain = func(rid record.RID, rec []byte) {
 		mv.Retain(token, rid, rec)
 		reg.Counter(obs.MetricVersionsRetained).Add(1)
@@ -639,18 +696,20 @@ func (tbl *Table) BulkDelete(field int, values []int64, opts BulkOptions) (*Bulk
 	if tbl.db.crashed.Load() {
 		return nil, errCrashed
 	}
-	if tbl.lsm != nil {
-		return tbl.lsmBulkDelete(field, values, opts)
-	}
+	return tbl.store.bulkDelete(field, values, opts)
+}
+
+func (h *heapStore) bulkDelete(field int, values []int64, opts BulkOptions) (*BulkResult, error) {
+	tbl := h.tbl
 	// Overload guard: a statement that wants pool workers is shed here, at
 	// admission — before any lock is taken or log record written — when the
 	// pool's waiter queue is at its cap, so a shed statement is always safe
 	// to retry.
 	if opts.Parallel > 1 && !tbl.db.sched.Admit() {
-		stmt := tbl.db.obs.Events().Begin("bulk-delete", tbl.t.Name)
+		stmt := tbl.db.obs.Events().Begin("bulk-delete", tbl.name)
 		stmt.Event(obs.EvShed, "admission queue full")
 		stmt.End()
-		return nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", tbl.t.Name, ErrOverloaded)
+		return nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", tbl.name, ErrOverloaded)
 	}
 	if opts.Timeout > 0 {
 		parent := opts.Ctx
@@ -663,12 +722,51 @@ func (tbl *Table) BulkDelete(field int, values []int64, opts BulkOptions) (*Bulk
 		opts.Timeout = 0
 	}
 	claims, fks := tbl.db.deleteFootprint(tbl)
-	stmt, held, err := tbl.db.beginStatementTimeout("bulk-delete", tbl.t.Name, claims, opts.LockWait)
+	stmt, held, err := tbl.db.beginStatementTimeout("bulk-delete", tbl.name, claims, opts.LockWait)
 	if err != nil {
-		return nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", tbl.t.Name, err)
+		return nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", tbl.name, err)
 	}
 	defer tbl.db.endStatement(stmt, held)
-	return tbl.bulkDeleteWithDepth(field, values, opts, 0, stmt, held, fks)
+	return h.bulkDeleteWithDepth(field, values, opts, 0, stmt, held, fks)
+}
+
+// DeleteRange deletes every row whose field value lies in [lo, hi], both
+// bounds inclusive.
+//
+// On an LSM table with field == 0 this is the backend's signature move:
+// one range tombstone is logged and dropped into the memtable — O(1)
+// foreground I/O regardless of how many rows the range covers — and the
+// result's Deleted is -1 (a blind delete does not know the count; the
+// covered rows disappear from every read immediately and their space is
+// reclaimed by delete-aware compaction within TombstoneTTL flushes).
+// Non-key fields fall back to a merged scan issuing point tombstones.
+//
+// On a heap table the range is resolved to its distinct field values and
+// handed to the regular ⋈̸ BulkDelete machinery.
+func (tbl *Table) DeleteRange(field int, lo, hi int64, opts BulkOptions) (*BulkResult, error) {
+	if tbl.db.crashed.Load() {
+		return nil, errCrashed
+	}
+	if lo > hi {
+		return &BulkResult{}, nil
+	}
+	return tbl.store.deleteRange(field, lo, hi, opts)
+}
+
+func (h *heapStore) deleteRange(field int, lo, hi int64, opts BulkOptions) (*BulkResult, error) {
+	rows, err := h.lookupRange(field, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]int64, len(rows))
+	for i, row := range rows {
+		vals[i] = row[field]
+	}
+	if vals = dedupInt64(vals); len(vals) == 0 {
+		return &BulkResult{}, nil
+	}
+	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	return h.bulkDelete(field, vals, opts)
 }
 
 // bulkDeleteWithDepth runs one level of the (possibly cascading) delete.
@@ -677,18 +775,16 @@ func (tbl *Table) BulkDelete(field int, values []int64, opts BulkOptions) (*Bulk
 // snapshot the footprint was computed from — every level enforces this
 // snapshot, never a re-read of the live list, so the cascade graph cannot
 // outgrow the locks.
-func (tbl *Table) bulkDeleteWithDepth(field int, values []int64, opts BulkOptions, depth int, stmt *obs.Stmt, held *cc.Held, fks []ForeignKey) (*BulkResult, error) {
+func (h *heapStore) bulkDeleteWithDepth(field int, values []int64, opts BulkOptions, depth int, stmt *obs.Stmt, held *cc.Held, fks []ForeignKey) (*BulkResult, error) {
+	tbl, t := h.tbl, h.t
 	if tbl.db.crashed.Load() {
 		return nil, errCrashed
-	}
-	if opts.Memory <= 0 {
-		opts.Memory = table.DefaultSortBudget
 	}
 	res := &BulkResult{Victims: len(values)}
 
 	// Referential integrity first — "as early as possible and before
 	// deleting records from the table and the indices" (paper §2.1).
-	cascaded, err := tbl.db.enforceForeignKeys(tbl, field, values, opts, depth, stmt, held, fks)
+	cascaded, err := tbl.db.enforceForeignKeys(h, field, values, opts, depth, stmt, held, fks)
 	if err != nil {
 		return nil, err
 	}
@@ -711,7 +807,7 @@ func (tbl *Table) bulkDeleteWithDepth(field int, values []int64, opts BulkOption
 
 	// The statement trace: core fills in the phase spans; we own the root.
 	tr := obs.NewTrace("bulk-delete",
-		fmt.Sprintf("table=%s field=%d victims=%d", tbl.t.Name, field, len(values)),
+		fmt.Sprintf("table=%s field=%d victims=%d", tbl.name, field, len(values)),
 		tbl.db.obsSource())
 	coreOpts.Trace = tr
 	res.Trace = tr
@@ -725,7 +821,7 @@ func (tbl *Table) bulkDeleteWithDepth(field int, values []int64, opts BulkOption
 	// still mutates it.
 	unlock := func() {}
 	if depth == 0 {
-		unlock = func() { held.ReleaseTable(tbl.t.Name) }
+		unlock = func() { held.ReleaseTable(tbl.name) }
 	}
 	defer unlock()
 
@@ -733,7 +829,7 @@ func (tbl *Table) bulkDeleteWithDepth(field int, values []int64, opts BulkOption
 	// passes may still be running offline; wait for every gate before
 	// touching the trees (updaters may queue through side-files, but two
 	// bulk passes on one tree must not overlap).
-	tbl.waitIndexesOnline()
+	h.waitIndexesOnline()
 
 	// MVCC: open this level's retain token, and stamp its versions with one
 	// commit epoch exactly once — at §3.1 early release in concurrent mode
@@ -743,7 +839,7 @@ func (tbl *Table) bulkDeleteWithDepth(field int, values []int64, opts BulkOption
 	// visibility-filtered heap scan until EndDelete — which is deferred
 	// FIRST so it runs after the gate-cleanup defer below brings every tree
 	// back online.
-	mv := tbl.t.MVCC
+	mv := t.MVCC
 	var token uint64
 	levelCommit := func() {}
 	if mv != nil {
@@ -765,20 +861,20 @@ func (tbl *Table) bulkDeleteWithDepth(field int, values []int64, opts BulkOption
 	var sfMu sync.Mutex
 
 	if opts.Concurrent {
-		byFile := make(map[sim.FileID]*table.Index, len(tbl.t.Idx))
+		byFile := make(map[sim.FileID]*table.Index, len(t.Idx))
 		// reopened tracks the gates this statement has already brought back
 		// online. The cleanup below must consult it, not Gate.State(): once
 		// every pass is done the next statement may acquire the lock, pass
 		// waitIndexesOnline, and take the gates offline again before our
 		// deferred cleanup runs — quiescing that statement's side-file and
 		// reopening its gates mid-pass would corrupt its trees.
-		reopened := make(map[sim.FileID]bool, len(tbl.t.Idx))
-		for _, ix := range tbl.t.Idx {
+		reopened := make(map[sim.FileID]bool, len(t.Idx))
+		for _, ix := range t.Idx {
 			ix.Gate.TakeOffline()
 			stmt.Event(obs.EvGateOffline, ix.Def.Name)
 			byFile[ix.Tree.ID()] = ix
 		}
-		coreOpts.Undeletable = tbl.t.Undeletable
+		coreOpts.Undeletable = t.Undeletable
 		coreOpts.OnStructureDone = func(file sim.FileID) {
 			sfMu.Lock()
 			defer sfMu.Unlock()
@@ -793,15 +889,9 @@ func (tbl *Table) bulkDeleteWithDepth(field int, values []int64, opts BulkOption
 			before := res.SideFileOps
 			sf := ix.Gate.SideFile()
 			for sf.Len() > 64 {
-				for _, op := range sf.Drain(64) {
-					res.SideFileOps++
-					_ = tbl.applySideOp(ix, op)
-				}
+				res.SideFileOps += applySideOps(ix, sf.Drain(64))
 			}
-			for _, op := range sf.Quiesce() {
-				res.SideFileOps++
-				_ = tbl.applySideOp(ix, op)
-			}
+			res.SideFileOps += applySideOps(ix, sf.Quiesce())
 			ix.Gate.BringOnline()
 			stmt.Event(obs.EvGateOnline,
 				fmt.Sprintf("%s side-ops=%d", ix.Def.Name, res.SideFileOps-before))
@@ -813,7 +903,7 @@ func (tbl *Table) bulkDeleteWithDepth(field int, values []int64, opts BulkOption
 			// see the deleted rows (§3.1).
 			levelCommit()
 			if depth == 0 {
-				stmt.Event(obs.EvEarlyRelease, tbl.t.Name)
+				stmt.Event(obs.EvEarlyRelease, tbl.name)
 			}
 			unlock()
 		}
@@ -823,12 +913,9 @@ func (tbl *Table) bulkDeleteWithDepth(field int, values []int64, opts BulkOption
 			// completed belongs to the next statement (see reopened above).
 			sfMu.Lock()
 			defer sfMu.Unlock()
-			for _, ix := range tbl.t.Idx {
+			for _, ix := range t.Idx {
 				if !reopened[ix.Tree.ID()] {
-					for _, op := range ix.Gate.SideFile().Quiesce() {
-						res.SideFileOps++
-						_ = tbl.applySideOp(ix, op)
-					}
+					res.SideFileOps += applySideOps(ix, ix.Gate.SideFile().Quiesce())
 					ix.Gate.BringOnline()
 					stmt.Event(obs.EvGateOnline, ix.Def.Name+" (cleanup)")
 				}
@@ -836,8 +923,8 @@ func (tbl *Table) bulkDeleteWithDepth(field int, values []int64, opts BulkOption
 		}()
 	}
 
-	tgt := tbl.target()
-	tbl.retainTarget(tgt, token)
+	tgt := h.target()
+	h.retainTarget(tgt, token)
 	st, err := core.Execute(tgt, field, values, coreOpts)
 	tr.Finish()
 	tbl.db.obs.OnTrace(tr)
@@ -851,12 +938,12 @@ func (tbl *Table) bulkDeleteWithDepth(field int, values []int64, opts BulkOption
 			// the same epilogue as the success path. The replay retains
 			// under this level's token, so the deferred levelCommit stamps
 			// its versions too.
-			if aerr := tbl.abortToConsistency(stmt, opts.Ctx, coreOpts.TxID, field, token); aerr != nil {
+			if aerr := h.abortToConsistency(stmt, opts.Ctx, coreOpts.TxID, field, token); aerr != nil {
 				return nil, fmt.Errorf("bulkdel: bulk delete on %s: abort-to-consistency failed: %v (statement error: %w)",
-					tbl.t.Name, aerr, err)
+					tbl.name, aerr, err)
 			}
 		}
-		return nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", tbl.t.Name, err)
+		return nil, fmt.Errorf("bulkdel: bulk delete on %s: %w", tbl.name, err)
 	}
 	if depth == 0 {
 		// The statement's footprint was acquired once, before depth 0 ran;
@@ -883,8 +970,9 @@ func (tbl *Table) bulkDeleteWithDepth(field int, values []int64, opts BulkOption
 // exact state a crash at the same boundary followed by Recover would
 // produce, by replaying the §3.2 roll-forward online (DB.rollForwardOnline).
 // Must be called while the statement still holds its locks and gates.
-func (tbl *Table) abortToConsistency(stmt *obs.Stmt, ctx context.Context, txID uint64, field int, token uint64) error {
-	reg := tbl.db.obs.Registry()
+func (h *heapStore) abortToConsistency(stmt *obs.Stmt, ctx context.Context, txID uint64, field int, token uint64) error {
+	db := h.tbl.db
+	reg := db.obs.Registry()
 	reg.Counter(obs.MetricAborts).Add(1)
 	detail := "cancelled"
 	if ctx != nil && errors.Is(ctx.Err(), context.DeadlineExceeded) {
@@ -892,13 +980,13 @@ func (tbl *Table) abortToConsistency(stmt *obs.Stmt, ctx context.Context, txID u
 		detail = "deadline exceeded"
 	}
 	stmt.Event(obs.EvCancel, detail)
-	if tbl.db.log == nil {
+	if db.log == nil {
 		// No WAL: the executor only honors cancellation before any
 		// structure was modified, so there is nothing to roll forward.
 		stmt.Event(obs.EvAbort, "no wal: zero-effect abort")
 		return nil
 	}
-	deleted, err := tbl.db.rollForwardOnline(tbl, txID, field, token)
+	deleted, err := db.rollForwardOnline(h, txID, field, token)
 	if err != nil {
 		return err
 	}
@@ -912,26 +1000,25 @@ func (tbl *Table) abortToConsistency(stmt *obs.Stmt, ctx context.Context, txID u
 // have released the lock early (§3.1) with its remaining index passes
 // still in flight, and those passes own the offline trees until their
 // gates reopen.
-func (tbl *Table) waitIndexesOnline() {
-	for _, ix := range tbl.t.Idx {
+func (h *heapStore) waitIndexesOnline() {
+	for _, ix := range h.t.Idx {
 		ix.Gate.WaitOnline()
 	}
 }
 
-// applySideOp replays one deferred index operation.
-func (tbl *Table) applySideOp(ix *table.Index, op cc.Op) error {
-	if op.Kind == cc.OpInsert {
-		err := ix.Tree.Insert(op.Key, op.RID)
-		if err == btree.ErrDuplicateKey {
-			return err
+// applySideOps replays deferred index operations and returns how many it
+// replayed. Errors are dropped: its callers, the executor's structure-done
+// hook and the deferred gate cleanup, have no error path, and a delete may
+// find its entry already removed by the bulk delete.
+func applySideOps(ix *table.Index, ops []cc.Op) int {
+	for _, op := range ops {
+		if op.Kind == cc.OpInsert {
+			_ = ix.Tree.Insert(op.Key, op.RID)
+		} else {
+			_ = ix.Tree.Delete(op.Key, op.RID)
 		}
-		return err
 	}
-	err := ix.Tree.Delete(op.Key, op.RID)
-	if err == btree.ErrNotFound {
-		return nil // already removed by the bulk delete
-	}
-	return err
+	return len(ops)
 }
 
 // UpdateResult reports a bulk update.
@@ -957,31 +1044,24 @@ type UpdateResult struct {
 func (tbl *Table) BulkUpdate(predField int, values []int64, setField int,
 	transform func(int64) int64, opts BulkOptions) (*UpdateResult, error) {
 
-	if tbl.db.crashed.Load() {
-		return nil, errCrashed
-	}
-	if tbl.lsm != nil {
-		return nil, fmt.Errorf("bulkdel: bulk update is not supported on LSM table %s", tbl.t.Name)
-	}
-	if opts.Memory <= 0 {
-		opts.Memory = table.DefaultSortBudget
-	}
 	// Structural: unlike a bulk delete, the update rewrites records in
 	// place without retaining pre-images, so snapshot readers must be
 	// drained and held out, not admitted.
-	stmt, held := tbl.db.beginStatement("bulk-update", tbl.t.Name,
-		[]cc.Claim{{Table: tbl.t.Name, Mode: cc.Structural}})
-	defer tbl.db.endStatement(stmt, held)
-	tbl.waitIndexesOnline()
-	st, err := core.ExecuteUpdate(tbl.target(), predField, values, setField, transform, core.Options{
-		Memory:     opts.Memory,
-		Reorganize: opts.Reorganize,
-		Stmt:       stmt,
+	var st *core.UpdateStats
+	err := tbl.structural("bulk-update", func(h *heapStore, stmt *obs.Stmt) (err error) {
+		st, err = core.ExecuteUpdate(h.target(), predField, values, setField, transform, core.Options{
+			Memory:     opts.Memory,
+			Reorganize: opts.Reorganize,
+			Stmt:       stmt,
+		})
+		if err == nil {
+			h.resetSnapshots()
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	tbl.resetSnapshots()
 	return &UpdateResult{
 		Updated:      st.Updated,
 		EntriesMoved: st.EntriesMoved,
@@ -993,20 +1073,14 @@ func (tbl *Table) BulkUpdate(predField int, values []int64, setField int,
 // probed through the access index, each record removed from the heap and
 // from every index individually.
 func (tbl *Table) DeleteTraditional(field int, values []int64, sortValues bool) (int64, error) {
-	if tbl.db.crashed.Load() {
-		return 0, errCrashed
-	}
-	if tbl.lsm != nil {
-		return 0, fmt.Errorf("bulkdel: traditional delete is not supported on LSM table %s", tbl.t.Name)
-	}
 	// Structural: the baseline deletes record-at-a-time with no version
 	// retention, so snapshot readers are held out for the duration.
-	stmt, held := tbl.db.beginStatement("delete-traditional", tbl.t.Name,
-		[]cc.Claim{{Table: tbl.t.Name, Mode: cc.Structural}})
-	defer tbl.db.endStatement(stmt, held)
-	tbl.waitIndexesOnline()
-	n, err := tbl.t.TraditionalDelete(field, values, sortValues)
-	tbl.resetSnapshots()
+	var n int64
+	err := tbl.structural("delete-traditional", func(h *heapStore, _ *obs.Stmt) (err error) {
+		n, err = h.t.TraditionalDelete(field, values, sortValues)
+		h.resetSnapshots()
+		return err
+	})
 	return n, err
 }
 
@@ -1014,31 +1088,25 @@ func (tbl *Table) DeleteTraditional(field int, values []int64, sortValues bool) 
 // dropped, the delete runs against the access index only, and the dropped
 // indexes are rebuilt.
 func (tbl *Table) DeleteDropCreate(field int, values []int64) (int64, error) {
-	if tbl.db.crashed.Load() {
-		return 0, errCrashed
-	}
-	if tbl.lsm != nil {
-		return 0, fmt.Errorf("bulkdel: drop-and-create delete is not supported on LSM table %s", tbl.t.Name)
-	}
 	// Structural: index trees are dropped and rebuilt wholesale; no reader
 	// — snapshot or otherwise — may observe the intermediate state.
-	stmt, held := tbl.db.beginStatement("delete-drop-create", tbl.t.Name,
-		[]cc.Claim{{Table: tbl.t.Name, Mode: cc.Structural}})
-	defer tbl.db.endStatement(stmt, held)
-	tbl.waitIndexesOnline()
-	n, err := tbl.t.DropCreateDelete(field, values, true)
-	tbl.resetSnapshots()
-	if err != nil {
-		return n, err
-	}
-	return n, tbl.db.saveCatalog()
+	var n int64
+	err := tbl.structural("delete-drop-create", func(h *heapStore, _ *obs.Stmt) (err error) {
+		n, err = h.t.DropCreateDelete(field, values, true)
+		h.resetSnapshots()
+		if err != nil {
+			return err
+		}
+		return tbl.db.saveCatalog()
+	})
+	return n, err
 }
 
 // resetSnapshots discards the table's volatile MVCC state after an offline
 // structural pass. The caller must hold a Structural claim on the table, so
 // no snapshot reader can be open.
-func (tbl *Table) resetSnapshots() {
-	if mv := tbl.t.MVCC; mv != nil {
+func (h *heapStore) resetSnapshots() {
+	if mv := h.t.MVCC; mv != nil {
 		mv.Reset()
 	}
 }
@@ -1046,13 +1114,14 @@ func (tbl *Table) resetSnapshots() {
 // Explain renders the plan the given method would execute for a bulk
 // delete on the field — the code form of the paper's Figures 3–5.
 func (tbl *Table) Explain(field int, m Method, memory int) string {
-	if tbl.lsm != nil {
-		return fmt.Sprintf("LSMDelete(table=%s field=%d)\n  └─ tombstone write (range predicates: one range tombstone; O(1) I/O)\n", tbl.t.Name, field)
-	}
+	return tbl.store.explain(field, m, memory)
+}
+
+func (h *heapStore) explain(field int, m Method, memory int) string {
 	if memory <= 0 {
 		memory = table.DefaultSortBudget
 	}
-	tgt := tbl.target()
+	tgt := h.target()
 	if m == Auto {
 		m = core.ChooseMethod(tgt, field, 0, memory)
 	}
@@ -1060,13 +1129,17 @@ func (tbl *Table) Explain(field int, m Method, memory int) string {
 }
 
 // EstimateMethods returns the planner's cost estimates for a victim count,
-// in plan order.
+// in plan order. An LSM table has no ⋈̸ plans: the map is empty.
 func (tbl *Table) EstimateMethods(field, victims, memory int) map[string]time.Duration {
 	if memory <= 0 {
 		memory = table.DefaultSortBudget
 	}
 	out := make(map[string]time.Duration)
-	for _, e := range core.EstimateCosts(tbl.target(), field, victims, memory) {
+	h, ok := tbl.store.(*heapStore)
+	if !ok {
+		return out
+	}
+	for _, e := range core.EstimateCosts(h.target(), field, victims, memory) {
 		out[e.Method.String()] = e.Time
 	}
 	return out
