@@ -457,6 +457,9 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 
 	report := &RecoveryReport{}
 	if !root.HasWAL {
+		if err := db.dropOrphans(); err != nil {
+			return nil, nil, err
+		}
 		return db, report, nil
 	}
 	log, recs, err := wal.Open(disk, sim.FileID(root.WALFile))
@@ -549,5 +552,49 @@ func Recover(disk *sim.Disk, opts Options) (*DB, *RecoveryReport, error) {
 		}
 		report.RolledForward += st.Deleted
 	}
+	if err := db.dropOrphans(); err != nil {
+		return nil, nil, err
+	}
 	return db, report, nil
+}
+
+// dropOrphans drops every file the recovered database does not name: the
+// catalog, the WAL, and each table's heap, partition, index and SSTable
+// files. A crash after a file was created but before the log record or
+// catalog save naming it became durable — a statement's row file or sort
+// run, an SSTable not yet in a manifest — leaves such a file behind, and
+// nothing would ever drop it. Dropping is metadata only: it costs no
+// simulated time and no I/O.
+func (db *DB) dropOrphans() error {
+	keep := map[sim.FileID]bool{db.catalog: true}
+	if db.log != nil {
+		keep[db.log.FileID()] = true
+	}
+	for _, tbl := range db.tables {
+		ct := tbl.store.catalogEntry()
+		if ct.Backend == BackendLSM {
+			for _, lvl := range ct.LSM.Levels {
+				for _, meta := range lvl {
+					keep[sim.FileID(meta.File)] = true
+				}
+			}
+			continue
+		}
+		keep[sim.FileID(ct.HeapFile)] = true
+		for _, f := range ct.HeapFiles {
+			keep[sim.FileID(f)] = true
+		}
+		for _, ci := range ct.Indexes {
+			keep[sim.FileID(ci.File)] = true
+		}
+	}
+	for _, p := range db.disk.Placements() {
+		if keep[p.File] {
+			continue
+		}
+		if err := db.disk.DropFile(p.File); err != nil {
+			return fmt.Errorf("bulkdel: dropping orphan file %d: %w", p.File, err)
+		}
+	}
+	return nil
 }

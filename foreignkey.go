@@ -80,6 +80,11 @@ func (db *DB) AddForeignKey(child *Table, childField int, parent *Table, parentF
 		return fmt.Errorf("bulkdel: foreign key requires an index on %s.field%d",
 			child.Name(), childField)
 	}
+	// The parent's deletes enforce the key from their victim rows; an LSM
+	// range tombstone never learns its victims.
+	if _, err := parent.heap(); err != nil {
+		return err
+	}
 	db.mu.Lock()
 	db.fks = append(db.fks, ForeignKey{
 		Child: child, ChildField: childField,

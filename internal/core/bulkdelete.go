@@ -68,8 +68,7 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 	logged := o.Log != nil
 	var victimFile *rowFile
 	if logged {
-		err := func() error {
-			sp := e.span("materialize-victims", fmt.Sprintf("%d values → stable storage", len(values)))
+		err := e.phase("materialize-victims", fmt.Sprintf("%d values → stable storage", len(values)), tgt.Name, func() error {
 			if _, err := o.Log.Append(wal.TBegin, o.TxID, 0, 0, nil); err != nil {
 				return err
 			}
@@ -99,14 +98,10 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 				return err
 			}
 			o.Stmt.Event(obs.EvWAL, fmt.Sprintf("bulk-start rows=%d field=%d", victimFile.rows, field))
-			if err := o.Log.Flush(); err != nil {
-				return err
-			}
-			sp.Finish()
-			return nil
-		}()
+			return o.Log.Flush()
+		})
 		if err != nil {
-			return nil, phaseErr("materialize-victims", tgt.Name, err)
+			return nil, err
 		}
 	}
 
@@ -115,8 +110,7 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 	}
 
 	if logged {
-		err := func() error {
-			sp := e.span("wal-commit", "bulk-end + commit records")
+		err := e.phase("wal-commit", "bulk-end + commit records", tgt.Name, func() error {
 			if _, err := o.Log.Append(wal.TBulkEnd, o.TxID, 0, 0, nil); err != nil {
 				return err
 			}
@@ -127,11 +121,10 @@ func Execute(tgt *Target, field int, values []int64, opts Options) (*Stats, erro
 				return err
 			}
 			o.Stmt.Event(obs.EvCommit, "bulk-end + commit durable")
-			sp.Finish()
 			return nil
-		}()
+		})
 		if err != nil {
-			return stats, phaseErr("wal-commit", tgt.Name, err)
+			return stats, err
 		}
 		if err := e.dropStaged(); err != nil {
 			return stats, err
@@ -205,18 +198,16 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	o := e.opts
 	logged := o.Log != nil
 	stats := e.stats
-	disk := e.disk()
 
-	// Degree of parallelism for phase 3. Recovery replays serially: the
+	// Worker cap for the fan-outs. Recovery replays serially: the
 	// roll-forward has per-structure progress to respect and nothing to
 	// gain from overlap it could not also get on the original run.
 	stats.ParallelRequested = o.Parallel
-	workers := 1
+	maxWorkers := 1
 	if o.Parallel > 1 && rs == nil {
-		workers = chooseParallelRest(e.tgt, rest, o.Parallel)
+		maxWorkers = o.Parallel
 	}
-	e.parWorkers = workers
-	par := workers > 1
+	e.parWorkers = chooseParallelRest(e.tgt, rest, maxWorkers)
 
 	// victimIter returns a fresh iterator over the sorted victim keys.
 	victimIter := func() (rowIter, error) {
@@ -273,19 +264,12 @@ func (e *execCtx) run(field int, values []int64, method Method,
 		ridFile = rs.ridFile
 	} else if logged {
 		// Read-only collect pass → sort by RID → materialize.
-		err := func() error {
-			sp := e.span("collect-rids", "read-only ⋈̸ → sorted RID list → stable storage")
-			e.cur = sp
-			srt, err := xsort.New(disk, record.RIDSize, o.Memory, nil)
+		err := e.phase("collect-rids", "read-only ⋈̸ → sorted RID list → stable storage", collectStruct, func() error {
+			srt, emit, err := e.ridSorter()
 			if err != nil {
 				return err
 			}
-			var row [record.RIDSize]byte
-			err = collectRIDs(func(rid record.RID) error {
-				record.PutRID(row[:], rid)
-				return srt.Add(row[:])
-			})
-			if err != nil {
+			if err := collectRIDs(emit); err != nil {
 				return err
 			}
 			it, err := srt.Finish()
@@ -303,130 +287,91 @@ func (e *execCtx) run(field int, values []int64, method Method,
 			if _, err := o.Log.Append(wal.TMaterialized, o.TxID, 0, uint64(ridFile.file), rowsPayload[:]); err != nil {
 				return err
 			}
-			if err := o.Log.Flush(); err != nil {
-				return err
-			}
-			sp.Finish()
-			e.cur = nil
-			return nil
-		}()
+			return o.Log.Flush()
+		})
 		if err != nil {
-			return phaseErr("collect-rids", collectStruct, err)
+			return err
 		}
+	}
+
+	// An unlogged run gathers its RID list while it finds the victims: into
+	// the hash method's in-memory set, or an external sorter whose sorted
+	// output finishRIDs hands to the heap pass.
+	var gather func(record.RID) error
+	var ridSorter *xsort.Sorter
+	if !logged {
+		if method == Hash {
+			ridSet = make(map[record.RID]struct{}, len(values))
+			gather = func(rid record.RID) error {
+				ridSet[rid] = struct{}{}
+				return nil
+			}
+		} else {
+			var err error
+			if ridSorter, gather, err = e.ridSorter(); err != nil {
+				return phaseErr("collect-rids", collectStruct, err)
+			}
+		}
+	}
+	finishRIDs := func() error {
+		if ridSorter == nil {
+			return nil
+		}
+		it, err := ridSorter.Finish()
+		if err != nil {
+			return err
+		}
+		ridIter = it.Next
+		return nil
 	}
 
 	// Destructive pass on the access index.
 	if access != nil && !e.skip(access.Tree.ID()) {
-		err := func() error {
-			sp := e.span("access-pass", fmt.Sprintf("⋈̸[merge] %s (by key)", access.Name))
-			e.cur = sp
-			t0 := disk.Clock()
-			if err := e.structStart(access.Tree.ID(), 1); err != nil {
-				return err
-			}
-			vi, err := victimIter()
-			if err != nil {
-				return err
-			}
-			var startKey []byte
-			if from := resumeFrom(rs, access.Tree.ID()); from > 0 {
-				vi, startKey, err = skipRows(vi, uint64(from))
+		_, err := e.pass(passJob{
+			phase:  "access-pass",
+			name:   access.Name,
+			detail: fmt.Sprintf("⋈̸[merge] %s (by key)", access.Name),
+			file:   access.Tree.ID(),
+			kind:   1,
+			flush:  access.Tree.Flush,
+			run: func(ce *execCtx) (int64, error) {
+				vi, err := victimIter()
 				if err != nil {
-					return err
+					return 0, err
 				}
-				e.applied = from // keep checkpoint progress absolute
-			}
-			var emit func(record.RID) error
-			if !logged {
-				if method == Hash {
-					ridSet = make(map[record.RID]struct{}, len(values))
-					emit = func(rid record.RID) error {
-						ridSet[rid] = struct{}{}
-						return nil
-					}
-				} else {
-					srt, err := xsort.New(disk, record.RIDSize, o.Memory, nil)
+				var startKey []byte
+				if from := resumeFrom(rs, access.Tree.ID()); from > 0 {
+					vi, startKey, err = skipRows(vi, uint64(from))
 					if err != nil {
-						return err
+						return 0, err
 					}
-					var row [record.RIDSize]byte
-					emit = func(rid record.RID) error {
-						record.PutRID(row[:], rid)
-						return srt.Add(row[:])
-					}
-					// Finished below, after the pass completes.
-					e.pendingRIDSorter = srt
+					ce.applied = from // keep checkpoint progress absolute
 				}
-			}
-			del, err := mergeDeleteIndexByKey(e, access, vi, true, emit, startKey)
-			if err != nil {
-				return err
-			}
-			if err := access.Tree.RebuildUpper(o.Reorganize); err != nil {
-				return err
-			}
-			if err := e.structDone(access.Tree.ID(), func() error { return access.Tree.Flush() }); err != nil {
-				return err
-			}
-			sp.Finish()
-			e.cur = nil
-			ss := StructStats{Name: access.Name, File: access.Tree.ID(), Deleted: del, Elapsed: disk.Clock() - t0}
-			ss.fillIO(sp)
-			stats.PerStructure = append(stats.PerStructure, ss)
-			if e.pendingRIDSorter != nil {
-				it, err := e.pendingRIDSorter.Finish()
+				del, err := mergeDeleteIndexByKey(ce, access, vi, true, gather, startKey)
 				if err != nil {
-					return err
+					return del, err
 				}
-				ridIter = it.Next
-				e.pendingRIDSorter = nil
-			}
-			return nil
-		}()
+				return del, access.Tree.RebuildUpper(o.Reorganize)
+			},
+		})
 		if err != nil {
+			return err
+		}
+		if err := finishRIDs(); err != nil {
 			return phaseErr("access-pass", access.Name, err)
 		}
-	} else if access != nil && logged {
-		// Access index already done on resume; RID list comes from disk.
 	}
 
 	if access == nil && !logged {
 		// Victims located by table scan: RIDs arrive already sorted.
-		err := func() error {
-			sp := e.span("collect-rids", "table scan → RID list")
-			e.cur = sp
-			if method == Hash {
-				ridSet = make(map[record.RID]struct{}, len(values))
-				if err := collectRIDs(func(rid record.RID) error {
-					ridSet[rid] = struct{}{}
-					return nil
-				}); err != nil {
-					return err
-				}
-			} else {
-				srt, err := xsort.New(disk, record.RIDSize, o.Memory, nil)
-				if err != nil {
-					return err
-				}
-				var row [record.RIDSize]byte
-				if err := collectRIDs(func(rid record.RID) error {
-					record.PutRID(row[:], rid)
-					return srt.Add(row[:])
-				}); err != nil {
-					return err
-				}
-				it, err := srt.Finish()
-				if err != nil {
-					return err
-				}
-				ridIter = it.Next
+		err := e.phase("collect-rids", "table scan → RID list", e.tgt.Name, func() error {
+			if err := collectRIDs(gather); err != nil {
+				return err
 			}
-			sp.Finish()
-			e.cur = nil
-			return nil
-		}()
+			return finishRIDs()
+		})
 		if err != nil {
-			return phaseErr("collect-rids", e.tgt.Name, err)
+			return err
 		}
 	}
 	if logged && method == Hash {
@@ -443,36 +388,27 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	// ---- Phase 2a (logged): extraction pass — materialize the ⟨key,RID⟩
 	// list of every remaining index before any record dies.
 	keyFiles := make(map[sim.FileID]*rowFile)
-	needExtract := method != Hash && len(rest) > 0
-	if logged && needExtract {
-		have := rs != nil && len(rs.keyFiles) == len(rest)
-		if !have {
+	if logged && method != Hash && len(rest) > 0 {
+		if rs != nil && len(rs.keyFiles) == len(rest) {
+			keyFiles = rs.keyFiles
+		} else {
 			// Extract into per-index sorters, then materialize the
 			// *sorted* lists — the paper's "results of the join
 			// variants should be materialized to stable storage".
-			err := func() error {
-				sp := e.span("extract", fmt.Sprintf("π ⟨key,RID⟩ for %d indexes → sorted, stable storage", len(rest)))
-				e.cur = sp
-				extractSorters := make(map[sim.FileID]*xsort.Sorter, len(rest))
-				for _, ix := range rest {
-					srt, err := xsort.New(disk, ix.Tree.KeyLen()+record.RIDSize, o.Memory, nil)
-					if err != nil {
-						return err
-					}
-					extractSorters[ix.Tree.ID()] = srt
+			err := e.phase("extract", fmt.Sprintf("π ⟨key,RID⟩ for %d indexes → sorted, stable storage", len(rest)), e.tgt.Name, func() error {
+				sorters, err := e.keySorters(rest)
+				if err != nil {
+					return err
 				}
 				it, err := ridFile.iterator(0)
 				if err != nil {
 					return err
 				}
-				_, err = heapPassSortedRIDs(e, it, false, func(rid record.RID, rec []byte) error {
-					return e.extractToSorters(rest, extractSorters, rid, rec)
-				})
-				if err != nil {
+				if _, err := heapPassSortedRIDs(e, it, false, e.extract(rest, sorters.add)); err != nil {
 					return err
 				}
 				for _, ix := range rest {
-					sit, err := extractSorters[ix.Tree.ID()].Finish()
+					sit, err := sorters[ix.Tree.ID()].Finish()
 					if err != nil {
 						return err
 					}
@@ -490,23 +426,16 @@ func (e *execCtx) run(field int, values []int64, method Method,
 						return err
 					}
 				}
-				if err := o.Log.Flush(); err != nil {
-					return err
-				}
-				sp.Finish()
-				e.cur = nil
-				return nil
-			}()
+				return o.Log.Flush()
+			})
 			if err != nil {
-				return phaseErr("extract", e.tgt.Name, err)
+				return err
 			}
-		} else {
-			keyFiles = rs.keyFiles
 		}
 	}
 
 	// ---- Phase 2b: delete from the heap.
-	sorters := make(map[sim.FileID]*xsort.Sorter) // unlogged sort/merge
+	var sorters keySorters // unlogged sort/merge
 	// A partitioned heap runs one pass per victim partition (possibly as a
 	// sched DAG) instead of the single merge below. The hash method keeps
 	// its one-scan-probes-all shape, and an unlogged run that must extract
@@ -522,79 +451,57 @@ func (e *execCtx) run(field int, values []int64, method Method,
 			}
 			src = it
 		}
-		heapWorkers := 1
-		if o.Parallel > 1 && rs == nil {
-			heapWorkers = o.Parallel
-		}
-		if err := e.partitionedHeapPass(src, method, rs, heapWorkers); err != nil {
+		if err := e.partitionedHeapPass(src, method, rs, maxWorkers); err != nil {
 			return err
 		}
 	} else if !e.skip(e.tgt.Heap.ID()) {
-		err := func() error {
-			sp := e.span("heap-pass", fmt.Sprintf("⋈̸[%s] %s (by RID)", method, e.tgt.Name))
-			e.cur = sp
-			t0 := disk.Clock()
-			if err := e.structStart(e.tgt.Heap.ID(), 0); err != nil {
-				return err
-			}
-			var del int64
-			var err error
-			if method == Hash {
-				del, err = heapDeleteByRIDProbe(e, ridSet)
-			} else if logged {
-				from := resumeFrom(rs, e.tgt.Heap.ID())
-				it, ierr := ridFile.iterator(from)
-				if ierr != nil {
-					return ierr
+		del, err := e.pass(passJob{
+			phase:  "heap-pass",
+			name:   e.tgt.Name,
+			detail: fmt.Sprintf("⋈̸[%s] %s (by RID)", method, e.tgt.Name),
+			file:   e.tgt.Heap.ID(),
+			kind:   0,
+			flush:  e.tgt.Heap.Flush,
+			run: func(ce *execCtx) (int64, error) {
+				if method == Hash {
+					return heapDeleteByRIDProbe(ce, ridSet)
 				}
-				e.applied = from // keep checkpoint progress absolute
-				del, err = heapPassSortedRIDs(e, it, true, nil)
-			} else {
+				if logged {
+					from := resumeFrom(rs, e.tgt.Heap.ID())
+					it, err := ridFile.iterator(from)
+					if err != nil {
+						return 0, err
+					}
+					ce.applied = from // keep checkpoint progress absolute
+					return heapPassSortedRIDs(ce, it, true, nil)
+				}
 				// Single pass: extract keys for the remaining indexes and
 				// delete in one go.
-				for _, ix := range rest {
-					srt, serr := xsort.New(disk, ix.Tree.KeyLen()+record.RIDSize, o.Memory, nil)
-					if serr != nil {
-						return serr
-					}
-					sorters[ix.Tree.ID()] = srt
+				sink := func(ix *IndexRef, row []byte) error {
+					return keyFiles[ix.Tree.ID()].append(row)
 				}
-				var extract func(record.RID, []byte) error
 				if method == HashPartition {
 					for _, ix := range rest {
-						kf, kerr := newRowFileOn(disk, ix.Tree.KeyLen()+record.RIDSize, e.stageDev(ix))
-						if kerr != nil {
-							return kerr
+						kf, err := newRowFileOn(e.disk(), ix.Tree.KeyLen()+record.RIDSize, e.stageDev(ix))
+						if err != nil {
+							return 0, err
 						}
 						keyFiles[ix.Tree.ID()] = kf
 					}
-					extract = func(rid record.RID, rec []byte) error {
-						return e.extractKeys(rest, keyFiles, rid, rec)
+				} else {
+					var err error
+					if sorters, err = e.keySorters(rest); err != nil {
+						return 0, err
 					}
-				} else if len(rest) > 0 {
-					extract = func(rid record.RID, rec []byte) error {
-						return e.extractToSorters(rest, sorters, rid, rec)
-					}
+					sink = sorters.add
 				}
-				del, err = heapPassSortedRIDs(e, ridIter, true, extract)
-			}
-			if err != nil {
-				return err
-			}
-			if err := e.structDone(e.tgt.Heap.ID(), func() error { return e.tgt.Heap.Flush() }); err != nil {
-				return err
-			}
-			sp.Finish()
-			e.cur = nil
-			stats.Deleted = del
-			ss := StructStats{Name: e.tgt.Name, File: e.tgt.Heap.ID(), Deleted: del, Elapsed: disk.Clock() - t0}
-			ss.fillIO(sp)
-			stats.PerStructure = append(stats.PerStructure, ss)
-			return nil
-		}()
+				return heapPassSortedRIDs(ce, ridIter, true, e.extract(rest, sink))
+			},
+		})
 		if err != nil {
-			return phaseErr("heap-pass", e.tgt.Name, err)
+			return err
 		}
+		stats.Deleted = del
 	}
 
 	// For HashPartition (unlogged), seal the key files written above.
@@ -612,32 +519,28 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	// that arm. Stage each sorted key list onto its index's device now,
 	// serially — the same declustering the logged protocol gets for free
 	// from its materialization pass.
-	if par && method == SortMerge && !logged {
-		err := func() error {
-			sp := e.span("stage-keys", fmt.Sprintf("decluster %d sorted key lists onto index devices", len(rest)))
-			e.cur = sp
+	if e.parWorkers > 1 && method == SortMerge && !logged {
+		err := e.phase("stage-keys", fmt.Sprintf("decluster %d sorted key lists onto index devices", len(rest)), e.tgt.Name, func() error {
 			for _, ix := range rest {
 				srt := sorters[ix.Tree.ID()]
 				if srt == nil || e.skip(ix.Tree.ID()) {
 					continue
 				}
-				it, ferr := srt.Finish()
-				if ferr != nil {
-					return ferr
+				it, err := srt.Finish()
+				if err != nil {
+					return err
 				}
-				kf, merr := materializeOn(e, it.Next, ix.Tree.KeyLen()+record.RIDSize, e.stageDev(ix))
+				kf, err := materializeOn(e, it.Next, ix.Tree.KeyLen()+record.RIDSize, e.stageDev(ix))
 				it.Close()
-				if merr != nil {
-					return merr
+				if err != nil {
+					return err
 				}
 				keyFiles[ix.Tree.ID()] = kf
 			}
-			sp.Finish()
-			e.cur = nil
 			return nil
-		}()
+		})
 		if err != nil {
-			return phaseErr("stage-keys", e.tgt.Name, err)
+			return err
 		}
 	}
 
@@ -658,23 +561,9 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	}
 	signalCritical()
 
-	// ---- Phase 3: one ⋈̸ per remaining index, unique-first. With a degree
-	// of parallelism above one the passes run as a DAG over the device
-	// array; otherwise the original serial loop below runs unchanged.
-	if par {
-		if err := e.runIndexPassesParallel(rest, method, workers, keyFiles, ridSet,
-			&criticalLeft, signalCritical); err != nil {
-			return err
-		}
-		if !logged {
-			for _, kf := range keyFiles {
-				if err := kf.drop(); err != nil {
-					return phaseErr("cleanup", e.tgt.Name, err)
-				}
-			}
-		}
-		return nil
-	}
+	// ---- Phase 3: one ⋈̸ per remaining index, unique-first, fanned out
+	// over the device array when the plan is parallel.
+	var jobs []passJob
 	for _, ix := range rest {
 		if e.skip(ix.Tree.ID()) {
 			if ix.Unique {
@@ -683,74 +572,65 @@ func (e *execCtx) run(field int, values []int64, method Method,
 			signalCritical()
 			continue
 		}
-		perr := func() error {
-			sp := e.span("index-pass", fmt.Sprintf("⋈̸[%s] %s (by key)", method, ix.Name))
-			e.cur = sp
-			t0 := disk.Clock()
-			if err := e.structStart(ix.Tree.ID(), 1); err != nil {
-				return err
-			}
-			var del int64
-			var err error
-			switch method {
-			case Hash:
-				del, err = indexDeleteByRIDProbe(e, ix, ridSet)
-			case HashPartition:
-				var p int
-				del, p, err = indexDeletePartitioned(e, ix, keyFiles[ix.Tree.ID()])
-				if p > stats.Partitions {
-					stats.Partitions = p
-				}
-			default: // SortMerge
-				var rows rowIter
-				var startKey []byte
-				if logged {
-					kf := keyFiles[ix.Tree.ID()]
-					from := resumeFrom(rs, ix.Tree.ID())
-					rows, err = kf.iterator(from)
-					if err != nil {
-						return err
-					}
-					if from > 0 {
-						rows, startKey, err = peekFirst(rows, ix.Tree.KeyLen())
-						if err != nil {
-							return err
+		var parts int
+		jobs = append(jobs, passJob{
+			phase:  "index-pass",
+			name:   ix.Name,
+			detail: fmt.Sprintf("⋈̸[%s] %s (by key)", method, ix.Name),
+			tgt:    e.tgt,
+			file:   ix.Tree.ID(),
+			kind:   1,
+			flush:  ix.Tree.Flush,
+			run: func(ce *execCtx) (del int64, err error) {
+				switch method {
+				case Hash:
+					del, err = indexDeleteByRIDProbe(ce, ix, ridSet)
+				case HashPartition:
+					del, parts, err = indexDeletePartitioned(ce, ix, keyFiles[ix.Tree.ID()])
+				default: // SortMerge: a materialized key list, or the unlogged sorter
+					var rows rowIter
+					var startKey []byte
+					if kf := keyFiles[ix.Tree.ID()]; kf != nil {
+						from := resumeFrom(rs, ix.Tree.ID())
+						if rows, err = kf.iterator(from); err != nil {
+							return 0, err
 						}
-						e.applied = from // keep checkpoint progress absolute
+						if from > 0 {
+							if rows, startKey, err = peekFirst(rows, ix.Tree.KeyLen()); err != nil {
+								return 0, err
+							}
+							ce.applied = from // keep checkpoint progress absolute
+						}
+					} else {
+						it, err := sorters[ix.Tree.ID()].Finish()
+						if err != nil {
+							return 0, err
+						}
+						rows = it.Next
 					}
-				} else {
-					it, ferr := sorters[ix.Tree.ID()].Finish()
-					if ferr != nil {
-						return ferr
-					}
-					rows = it.Next
+					del, err = mergeDeleteIndexByFullKey(ce, ix, rows, startKey)
 				}
-				del, err = mergeDeleteIndexByFullKey(e, ix, rows, startKey)
-			}
-			if err != nil {
-				return err
-			}
-			if err := ix.Tree.RebuildUpper(o.Reorganize); err != nil {
-				return err
-			}
-			if err := e.structDone(ix.Tree.ID(), func() error { return ix.Tree.Flush() }); err != nil {
-				return err
-			}
-			sp.Finish()
-			e.cur = nil
-			ss := StructStats{Name: ix.Name, File: ix.Tree.ID(), Deleted: del, Elapsed: disk.Clock() - t0}
-			ss.fillIO(sp)
-			stats.PerStructure = append(stats.PerStructure, ss)
-			return nil
-		}()
-		if perr != nil {
-			return phaseErr("index-pass", ix.Name, perr)
-		}
-		if ix.Unique {
-			criticalLeft--
-		}
-		signalCritical()
+				if err != nil {
+					return del, err
+				}
+				return del, ix.Tree.RebuildUpper(o.Reorganize)
+			},
+			done: func(int64) {
+				if parts > stats.Partitions {
+					stats.Partitions = parts
+				}
+				if ix.Unique {
+					criticalLeft--
+				}
+				signalCritical()
+			},
+		})
 	}
+	sc, err := e.fanOut(jobs, e.parWorkers)
+	if err != nil {
+		return err
+	}
+	stats.Schedule = sc
 
 	// Drop the intermediate files of an unlogged run (a logged run's files
 	// are staged and dropped once its commit record is durable).
@@ -764,33 +644,56 @@ func (e *execCtx) run(field int, values []int64, method Method,
 	return nil
 }
 
-// extractKeys appends one ⟨key,RID⟩ row per remaining index to the key
-// files.
-func (e *execCtx) extractKeys(rest []*IndexRef, files map[sim.FileID]*rowFile, rid record.RID, rec []byte) error {
-	for _, ix := range rest {
-		kf := files[ix.Tree.ID()]
-		row := make([]byte, ix.Tree.KeyLen()+record.RIDSize)
-		keyenc.PutInt64(row, e.tgt.Schema.Field(rec, ix.Field))
-		record.PutRID(row[ix.Tree.KeyLen():], rid)
-		if err := kf.append(row); err != nil {
-			return err
-		}
+// ridSorter returns an external sorter for a RID list and the emit that
+// feeds it.
+func (e *execCtx) ridSorter() (*xsort.Sorter, func(record.RID) error, error) {
+	srt, err := xsort.New(e.disk(), record.RIDSize, e.opts.Memory, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil
+	var row [record.RIDSize]byte
+	return srt, func(rid record.RID) error {
+		record.PutRID(row[:], rid)
+		return srt.Add(row[:])
+	}, nil
 }
 
-// extractToSorters feeds one ⟨key,RID⟩ row per remaining index into the
-// per-index sorters (the π + sort of Figure 3).
-func (e *execCtx) extractToSorters(rest []*IndexRef, sorters map[sim.FileID]*xsort.Sorter, rid record.RID, rec []byte) error {
+// keySorters holds one external sorter of ⟨key,RID⟩ rows per remaining
+// index.
+type keySorters map[sim.FileID]*xsort.Sorter
+
+func (e *execCtx) keySorters(rest []*IndexRef) (keySorters, error) {
+	s := make(keySorters, len(rest))
 	for _, ix := range rest {
-		row := make([]byte, ix.Tree.KeyLen()+record.RIDSize)
-		keyenc.PutInt64(row, e.tgt.Schema.Field(rec, ix.Field))
-		record.PutRID(row[ix.Tree.KeyLen():], rid)
-		if err := sorters[ix.Tree.ID()].Add(row); err != nil {
-			return err
+		srt, err := xsort.New(e.disk(), ix.Tree.KeyLen()+record.RIDSize, e.opts.Memory, nil)
+		if err != nil {
+			return nil, err
 		}
+		s[ix.Tree.ID()] = srt
 	}
-	return nil
+	return s, nil
+}
+
+func (s keySorters) add(ix *IndexRef, row []byte) error { return s[ix.Tree.ID()].Add(row) }
+
+// extract returns the heap-pass callback that projects each victim record
+// onto one ⟨key,RID⟩ row per remaining index and hands it to sink (the π of
+// Figure 3). It is nil when there is nothing to extract.
+func (e *execCtx) extract(rest []*IndexRef, sink func(ix *IndexRef, row []byte) error) func(record.RID, []byte) error {
+	if len(rest) == 0 {
+		return nil
+	}
+	return func(rid record.RID, rec []byte) error {
+		for _, ix := range rest {
+			row := make([]byte, ix.Tree.KeyLen()+record.RIDSize)
+			keyenc.PutInt64(row, e.tgt.Schema.Field(rec, ix.Field))
+			record.PutRID(row[ix.Tree.KeyLen():], rid)
+			if err := sink(ix, row); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // skipRows advances an iterator n rows and returns it along with the first

@@ -35,6 +35,13 @@ func makeTarget(t *testing.T, pool *buffer.Pool, n int, fields []int, unique []b
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fillTarget(t, pool, h, n, fields, unique)
+}
+
+// fillTarget loads makeTarget's rows into the empty heap h and builds the
+// requested indexes over it.
+func fillTarget(t *testing.T, pool *buffer.Pool, h heap.Store, n int, fields []int, unique []bool) *Target {
+	t.Helper()
 	rec := make([]byte, testSchema.Size)
 	rids := make([]record.RID, n)
 	for i := 0; i < n; i++ {

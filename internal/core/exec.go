@@ -32,14 +32,11 @@ type execCtx struct {
 	// checkpoint state
 	sinceCkpt int
 	applied   int64 // rows applied to the current structure
-	// pendingRIDSorter buffers the RID list emitted by the access-index
-	// pass of an unlogged sort/merge run until the pass completes.
-	pendingRIDSorter *xsort.Sorter
-	crash            crashCounters
+	crash     crashCounters
 	// parWorkers is the degree of parallelism chosen for phase 3 (1 =
 	// serial); scratchDev is the device scratch row files of this context
-	// must be created on, so a parallel index pass never touches another
-	// pass's arm (0 = the system device, the default placement).
+	// must be created on, so a parallel pass never touches another pass's
+	// arm (0 = the system device, the default placement).
 	parWorkers int
 	scratchDev int
 	// staged lists the row files announced in the log, dropped at commit.
@@ -907,14 +904,9 @@ func CollectVictimFieldValues(tgt *Target, field int, values []int64, wantFields
 		out[f] = nil
 	}
 	// RIDs, sorted by physical position.
-	ridSorter, err := xsort.New(e.disk(), record.RIDSize, e.opts.Memory, nil)
+	ridSorter, emit, err := e.ridSorter()
 	if err != nil {
 		return nil, err
-	}
-	var ridRow [record.RIDSize]byte
-	emit := func(rid record.RID) error {
-		record.PutRID(ridRow[:], rid)
-		return ridSorter.Add(ridRow[:])
 	}
 	if access := accessIndex(tgt, field); access != nil {
 		waitOnline(access)

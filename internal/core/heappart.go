@@ -4,9 +4,9 @@
 // partition ordinal lives in the high page bits, so RID order is
 // partition-major), which makes the split a single sequential pass; each
 // per-partition list then drives an independent ⋈̸ against its own heap
-// file. The passes touch disjoint files, so on a multi-device array they
-// form the same kind of fan-out DAG as the phase-3 index passes and run
-// under internal/sched with device exclusivity.
+// file. The passes touch disjoint files, so they are one fan-out of the
+// pass runner (parallel.go), exactly like the phase-3 index passes: inline
+// when serial, a sched DAG with device exclusivity when parallel.
 //
 // Two properties fall out of the per-partition structure:
 //
@@ -22,15 +22,9 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
-	"bulkdel/internal/buffer"
 	"bulkdel/internal/heap"
-	"bulkdel/internal/obs"
 	"bulkdel/internal/record"
-	"bulkdel/internal/sched"
-	"bulkdel/internal/sim"
 )
 
 // splitRIDsByPart routes the sorted, partition-tagged RID stream into one
@@ -84,20 +78,14 @@ func (e *execCtx) splitRIDsByPart(src rowIter, par bool) ([]*rowFile, []int64, e
 	return files, counts, nil
 }
 
-// partitionedHeapPassPart is the body of one partition's pass, running on a
-// child context whose target heap is the partition file (so checkpoints and
-// page edits address the partition directly). When the victim list covers
-// the whole partition the data pages are dropped by truncation instead of
-// being merged record by record; count > 0 guards the empty partition, and
+// partitionPass is the ⋈̸ of one partition, running on a child context
+// whose target heap is the partition file (so checkpoints and page edits
+// address the partition directly). When the victim list covers the whole
+// partition the data pages are dropped by truncation instead of being
+// merged record by record; count > 0 guards the empty partition, and
 // from > 0 (a mid-partition checkpoint) forces the merge so resumed work
 // replays exactly what the first attempt was doing.
-func partitionedHeapPassPart(ce *execCtx, part *heap.File, rids *rowFile,
-	count, from int64) (int64, error) {
-
-	if err := ce.structStart(part.ID(), 0); err != nil {
-		return 0, err
-	}
-	var del int64
+func partitionPass(ce *execCtx, part *heap.File, rids *rowFile, count, from int64) (int64, error) {
 	if from == 0 && count > 0 && count == part.Count() {
 		// TruncateWith keeps the metadata-only drop when snapshot reads are
 		// off; with MVCC armed it retains every record before releasing the
@@ -110,189 +98,64 @@ func partitionedHeapPassPart(ce *execCtx, part *heap.File, rids *rowFile,
 		if TestHookPostTruncate != nil {
 			TestHookPostTruncate()
 		}
-		del = count
-	} else {
-		it, err := rids.iterator(from)
-		if err != nil {
-			return 0, err
-		}
-		ce.applied = from // keep checkpoint progress absolute
-		del, err = heapPassSortedRIDs(ce, it, true, nil)
-		if err != nil {
-			return del, err
-		}
+		return count, nil
 	}
-	if err := ce.structDone(part.ID(), part.Flush); err != nil {
-		return del, err
+	it, err := rids.iterator(from)
+	if err != nil {
+		return 0, err
 	}
-	return del, nil
+	ce.applied = from // keep checkpoint progress absolute
+	return heapPassSortedRIDs(ce, it, true, nil)
 }
 
 // partitionedHeapPass executes phase 2b over a partitioned heap: split the
-// RID stream, then run one pass per victim partition — serially, or as a
-// sched DAG when maxWorkers and the device spread allow. rs carries
-// recovery positions (recovery replays serially, so rs != nil implies
-// maxWorkers == 1).
+// RID stream, then fan out one pass per victim partition, at most
+// maxWorkers at once. rs carries recovery positions (recovery replays
+// serially, so rs != nil implies maxWorkers == 1).
 func (e *execCtx) partitionedHeapPass(src rowIter, method Method,
 	rs *resumeState, maxWorkers int) error {
 
-	disk := e.disk()
-	pool := e.tgt.Pool
-	stats := e.stats
 	parts := e.tgt.Heap.Parts()
-
-	sp := e.span("heap-split", fmt.Sprintf("route sorted RID list into %d partition lists", len(parts)))
-	e.cur = sp
-	files, counts, err := e.splitRIDsByPart(src, maxWorkers > 1)
-	sp.Finish()
-	e.cur = nil
+	var files []*rowFile
+	var counts []int64
+	err := e.phase("heap-split", fmt.Sprintf("route sorted RID list into %d partition lists", len(parts)), e.tgt.Name, func() error {
+		var err error
+		files, counts, err = e.splitRIDsByPart(src, maxWorkers > 1)
+		return err
+	})
 	if err != nil {
-		return phaseErr("heap-split", e.tgt.Name, err)
+		return err
 	}
 
-	type job struct {
-		pi    int
-		part  *heap.File
-		rids  *rowFile
-		count int64
-	}
-	var jobs []job
+	var jobs []passJob
 	for pi, part := range parts {
 		if files[pi] == nil || e.skip(part.ID()) {
 			continue
 		}
-		jobs = append(jobs, job{pi: pi, part: part, rids: files[pi], count: counts[pi]})
-	}
-
-	// Clamp like chooseParallelRest: no wider than the jobs or the distinct
-	// devices their files live on.
-	workers := maxWorkers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	devs := make(map[int]bool, len(jobs))
-	for _, j := range jobs {
-		devs[disk.DeviceOf(j.part.ID())] = true
-	}
-	if workers > len(devs) {
-		workers = len(devs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	if workers == 1 {
-		for _, j := range jobs {
-			j := j
-			err := func() error {
-				sp := e.span("heap-pass", fmt.Sprintf("⋈̸[%s] %s (by RID)", method, PartName(e.tgt.Name, j.pi)))
-				e.cur = sp
-				t0 := disk.Clock()
-				tgt := *e.tgt
-				tgt.Heap = j.part
-				retagRetain(&tgt, j.pi)
-				ce := &execCtx{tgt: &tgt, opts: e.opts, stats: stats, trace: e.trace,
-					cur: sp, parWorkers: 1, scratchDev: e.scratchDev}
-				ce.crash = e.crash // keep crash-injection counting statement-wide
-				del, perr := partitionedHeapPassPart(ce, j.part, j.rids, j.count,
-					resumeFrom(rs, j.part.ID()))
-				e.crash = ce.crash
-				if perr != nil {
-					return perr
-				}
-				sp.Finish()
-				e.cur = nil
-				stats.Deleted += del
-				ss := StructStats{Name: PartName(e.tgt.Name, j.pi), File: j.part.ID(),
-					Deleted: del, Elapsed: disk.Clock() - t0}
-				ss.fillIO(sp)
-				stats.PerStructure = append(stats.PerStructure, ss)
-				return nil
-			}()
-			if err != nil {
-				return phaseErr("heap-pass", PartName(e.tgt.Name, j.pi), err)
-			}
-		}
-		return dropPartFiles(files)
-	}
-
-	// Parallel: one sched node per victim partition, mirroring the phase-3
-	// fan-out. Engine callbacks fired from concurrent structDones are
-	// serialized behind one mutex.
-	var cbMu sync.Mutex
-	type nodeRes struct {
-		del     int64
-		elapsed time.Duration
-		d0, d1  sim.Stats
-		h0, h1  buffer.Stats
-	}
-	results := make([]nodeRes, len(jobs))
-	nodes := make([]sched.Node, len(jobs))
-	for i, j := range jobs {
-		i, j := i, j
-		dev := disk.DeviceOf(j.part.ID())
 		tgt := *e.tgt
-		tgt.Heap = j.part
-		retagRetain(&tgt, j.pi)
-		ce := &execCtx{tgt: &tgt, opts: e.opts, stats: stats,
-			parWorkers: workers, scratchDev: dev}
-		if cb := e.opts.OnStructureDone; cb != nil {
-			ce.opts.OnStructureDone = func(f sim.FileID) {
-				cbMu.Lock()
-				defer cbMu.Unlock()
-				cb(f)
-			}
-		}
-		nodes[i] = sched.Node{
-			Label:  PartName(e.tgt.Name, j.pi),
-			Device: dev,
-			Run: func() error {
-				e.opts.Stmt.EventDev(obs.EvNodeStart, PartName(e.tgt.Name, j.pi), dev)
-				r := &results[i]
-				r.d0, r.h0 = disk.DeviceStats(dev), pool.ShardStats(dev)
-				b0 := disk.DeviceBusy(dev)
-				del, err := partitionedHeapPassPart(ce, j.part, j.rids, j.count, 0)
-				r.del = del
-				r.d1, r.h1 = disk.DeviceStats(dev), pool.ShardStats(dev)
-				r.elapsed = disk.DeviceBusy(dev) - b0
-				e.opts.Stmt.EventDev(obs.EvNodeFinish, PartName(e.tgt.Name, j.pi), dev)
-				return err
+		tgt.Heap = part
+		retagRetain(&tgt, pi)
+		rids, count, from := files[pi], counts[pi], resumeFrom(rs, part.ID())
+		name := PartName(e.tgt.Name, pi)
+		jobs = append(jobs, passJob{
+			phase:  "heap-pass",
+			name:   name,
+			detail: fmt.Sprintf("⋈̸[%s] %s (by RID)", method, name),
+			tgt:    &tgt,
+			file:   part.ID(),
+			kind:   0,
+			flush:  part.Flush,
+			run: func(ce *execCtx) (int64, error) {
+				return partitionPass(ce, part, rids, count, from)
 			},
-		}
+			done: func(del int64) { e.stats.Deleted += del },
+		})
 	}
-
-	sc, err := sched.ExecutePool(e.opts.Sched, disk, workers, nodes)
+	sc, err := e.fanOut(jobs, maxWorkers)
 	if err != nil {
-		return phaseErr("heap-pass", "parallel section", err)
+		return err
 	}
-	stats.HeapSchedule = sc
-	stats.AdmissionWait += sc.AdmissionWait
-	if workers > stats.Workers {
-		stats.Workers = workers
-	}
-	for i, j := range jobs {
-		r := results[i]
-		stats.Deleted += r.del
-		ss := StructStats{
-			Name:    PartName(e.tgt.Name, j.pi),
-			File:    j.part.ID(),
-			Deleted: r.del,
-			Elapsed: r.elapsed,
-			Reads:   r.d1.Reads - r.d0.Reads,
-			Writes:  r.d1.Writes - r.d0.Writes,
-			Seeks:   r.d1.RandomOps - r.d0.RandomOps,
-			Hits:    r.h1.Hits - r.h0.Hits,
-			Misses:  r.h1.Misses - r.h0.Misses,
-		}
-		stats.PerStructure = append(stats.PerStructure, ss)
-		it := sc.Items[i]
-		psp := e.span("heap-pass", fmt.Sprintf("⋈̸[%s] %s (by RID)", method, PartName(e.tgt.Name, j.pi)))
-		psp.Set("worker", fmt.Sprintf("%d", it.Worker))
-		psp.Set("device", fmt.Sprintf("%d", it.Device))
-		psp.Set("start", it.Start.String())
-		psp.Set("finish", it.Finish.String())
-		psp.Finish()
-	}
+	e.stats.HeapSchedule = sc
 	return dropPartFiles(files)
 }
 

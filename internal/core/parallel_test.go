@@ -1,10 +1,15 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"bulkdel/internal/buffer"
+	"bulkdel/internal/heap"
+	"bulkdel/internal/sim"
 	"bulkdel/internal/wal"
 )
 
@@ -176,4 +181,113 @@ func TestChooseParallel(t *testing.T) {
 	if w := ChooseParallel(tgt, 0, 8); w != 1 {
 		t.Fatalf("single device ChooseParallel = %d, want 1", w)
 	}
+}
+
+// An unlogged run has no way to roll forward, so once its first structure
+// is modified a cancellation must be ignored: here it arrives from
+// OnStructureDone after the first of three remaining-index passes, while
+// the third still waits for a worker. Every index must still be processed.
+func TestUnloggedParallelCancelCompletes(t *testing.T) {
+	const n = 3000
+	pool := testPool(256)
+	pool.Disk().ConfigureDevices(4)
+	// No index on field 0: the victims are found by a scan, and all three
+	// indexes remain, one per device.
+	tgt := makeTarget(t, pool, n, []int{1, 2, 1}, []bool{true, false, false})
+	indexFiles := map[sim.FileID]bool{}
+	for k, ix := range tgt.Indexes {
+		if err := pool.Relocate(ix.Tree.ID(), k+1); err != nil {
+			t.Fatal(err)
+		}
+		indexFiles[ix.Tree.ID()] = true
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	victims, set := pickVictims(n, n/6, 31)
+	st, err := Execute(tgt, 0, victims, Options{
+		Ctx: ctx, Method: SortMerge, Memory: 1 << 16, Parallel: 2,
+		OnStructureDone: func(f sim.FileID) {
+			if indexFiles[f] {
+				once.Do(cancel)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatalf("unlogged run stopped half-done: %v", err)
+	}
+	if st.Workers != 2 {
+		t.Fatalf("workers = %d, want 2", st.Workers)
+	}
+	verifyTarget(t, tgt, set, n)
+}
+
+// A logged run may stop between passes: cancelling a parallel
+// partitioned-heap fan-out after its first partition stops the statement
+// with ErrCancelled, and the online roll-forward finishes the delete.
+func TestLoggedPartitionFanOutCancelRollsForward(t *testing.T) {
+	const n = 3000
+	pool := testPool(2048)
+	pool.Disk().ConfigureDevices(5)
+	ph, err := heap.CreatePartitioned(pool, testSchema, heap.PartitionSpec{Field: 0, HashParts: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	partFiles := map[sim.FileID]bool{}
+	for i, part := range ph.Parts() {
+		if err := pool.Relocate(part.ID(), i+1); err != nil {
+			t.Fatal(err)
+		}
+		partFiles[part.ID()] = true
+	}
+	tgt := fillTarget(t, pool, ph, n, []int{0, 1}, []bool{true, false})
+	if err := tgt.Heap.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range tgt.Indexes {
+		if err := ix.Tree.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log := wal.Create(pool.Disk())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var once sync.Once
+	victims, set := pickVictims(n, 600, 23)
+	_, err = Execute(tgt, 0, victims, Options{
+		Ctx: ctx, Method: SortMerge, Log: log, TxID: 9, CheckpointRows: 50, Parallel: 2,
+		OnStructureDone: func(f sim.FileID) {
+			if partFiles[f] {
+				once.Do(cancel)
+			}
+		},
+	})
+	if !errors.Is(err, ErrCancelled) {
+		t.Fatalf("got %v, want ErrCancelled", err)
+	}
+	recs, err := log.DurableRecords()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, ok := wal.AnalyzeBulk(recs)
+	if !ok || bs.Finished {
+		t.Fatalf("analyze: %+v ok=%v", bs, ok)
+	}
+	done := 0
+	for f := range bs.Done {
+		if partFiles[sim.FileID(f)] {
+			done++
+		}
+	}
+	if done == 0 || done == len(partFiles) {
+		t.Fatalf("%d of %d partitions done at the cancel, want some but not all", done, len(partFiles))
+	}
+	st, err := Resume(tgt, bs, log, recs, 0, Options{CheckpointRows: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Workers > 1 {
+		t.Fatalf("roll-forward ran with %d workers", st.Workers)
+	}
+	verifyTarget(t, tgt, set, n)
 }

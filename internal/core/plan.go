@@ -182,9 +182,11 @@ type Options struct {
 	// worker budget and never co-occupy a device. Nil keeps the
 	// single-statement behavior.
 	Sched *sched.Pool
-	// OnStructureDone is invoked after each structure (heap or index) is
-	// fully processed — the hook where the engine applies side-files and
-	// brings index gates back online.
+	// OnStructureDone is invoked after each structure (heap, heap
+	// partition or index) is fully processed — the hook where the engine
+	// applies side-files and brings index gates back online. Passes that
+	// run in parallel call it from their own goroutines, possibly at the
+	// same time: the caller serializes it.
 	OnStructureDone func(file sim.FileID)
 	// OnCriticalDone is invoked once the heap and every unique index are
 	// processed — the point where the paper releases the table lock.

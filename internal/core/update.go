@@ -71,14 +71,9 @@ func ExecuteUpdate(tgt *Target, predField int, values []int64, setField int,
 	}
 
 	// ---- Phase 1: victim RIDs, sorted by physical position.
-	ridSorter, err := xsort.New(disk, record.RIDSize, o.Memory, nil)
+	ridSorter, emit, err := e.ridSorter()
 	if err != nil {
 		return nil, err
-	}
-	var ridRow [record.RIDSize]byte
-	emit := func(rid record.RID) error {
-		record.PutRID(ridRow[:], rid)
-		return ridSorter.Add(ridRow[:])
 	}
 	if access := accessIndex(tgt, predField); access != nil {
 		vi, err := sortedVictimIter(e, values)

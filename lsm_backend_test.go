@@ -75,7 +75,17 @@ func TestLSMBackendBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The heap-only surface is rejected, not silently wrong (nor a panic).
+	// That includes serving as a foreign-key parent: a blind range
+	// tombstone does not know its victims, so it cannot enforce the key.
+	child, err := db.CreateTable("C", 2, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := child.CreateIndex(IndexOptions{Name: "CP", Field: 0}); err != nil {
+		t.Fatal(err)
+	}
 	rejected := map[string]error{
+		"AddForeignKey":     db.AddForeignKey(child, 0, tbl, 0, Restrict),
 		"CreateIndex":       tbl.CreateIndex(IndexOptions{Name: "IA", Field: 0}),
 		"AlterPartitioning": tbl.AlterPartitioning(PartitionSpec{Field: 0, HashParts: 2}),
 	}
